@@ -135,37 +135,28 @@ void bench::timeSchedulerStrategies(mfd::Variant V,
                                     const Config &Cfg, JsonReport &Json) {
   const std::string Name = mfd::variantName(V);
   const std::string RowName = "sched-" + Name;
-  printHeader(Name + " — wavefront vs list scheduler",
-              "scheduler / threads seconds max-idle-share");
+  printHeader(Name + " — list scheduler",
+              "threads seconds max-idle-share");
 
   std::vector<int> Threads{2};
   if (Cfg.MaxThreads > 2)
     Threads.push_back(Cfg.MaxThreads);
-  const std::pair<exec::SchedulerKind, const char *> Scheds[] = {
-      {exec::SchedulerKind::Wavefront, "wavefront"},
-      {exec::SchedulerKind::List, "list"},
-  };
-  for (const auto &[Kind, SchedName] : Scheds) {
-    for (int T : Threads) {
-      mfd::RunConfig Run;
-      Run.Threads = T;
-      Run.Scheduler = Kind;
-      // Stats carry the per-worker busy times of the last repetition; the
-      // best-of timing and the idle shares come from the same sweep.
-      exec::PlanStats Stats;
-      double S = timeBestOf(Cfg.Reps, [&] {
-        mfd::runVariant(V, In, Out, Run, &Stats);
-      });
-      double Idle = Stats.maxIdleShare();
-      const std::string Key =
-          std::string(SchedName) + "_T" + std::to_string(T);
-      Json.record(RowName, Key, S);
-      Json.record(RowName, "idle_" + Key, Idle);
-      char IdleBuf[32];
-      std::snprintf(IdleBuf, sizeof(IdleBuf), "%.1f%%", Idle * 100.0);
-      printRow({std::string(SchedName) + " T=" + std::to_string(T),
-                fmtSeconds(S), IdleBuf});
-    }
+  for (int T : Threads) {
+    mfd::RunConfig Run;
+    Run.Threads = T;
+    // Stats carry the per-worker busy times of the last repetition; the
+    // best-of timing and the idle shares come from the same sweep.
+    exec::PlanStats Stats;
+    double S = timeBestOf(Cfg.Reps, [&] {
+      mfd::runVariant(V, In, Out, Run, &Stats);
+    });
+    double Idle = Stats.maxIdleShare();
+    const std::string Key = "list_T" + std::to_string(T);
+    Json.record(RowName, Key, S);
+    Json.record(RowName, "idle_" + Key, Idle);
+    char IdleBuf[32];
+    std::snprintf(IdleBuf, sizeof(IdleBuf), "%.1f%%", Idle * 100.0);
+    printRow({"T=" + std::to_string(T), fmtSeconds(S), IdleBuf});
   }
 }
 

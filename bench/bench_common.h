@@ -106,12 +106,12 @@ double timePlanRun(const exec::ExecutionPlan &Plan,
 /// "series" and "fuseAll-reduced".
 void timeCompiledSchedules(std::int64_t N, int Reps, JsonReport &Json);
 
-/// Head-to-head task-graph scheduler comparison for one variant: times the
-/// parallel-over-boxes plan under both strategies at T=2 and T=MaxThreads,
-/// printing a table with per-strategy max idle shares and recording
-/// "<sched>_T<n>" seconds plus informational "idle_<sched>_T<n>" idle
-/// shares (tools/bench_compare prints "idle"-prefixed keys but never gates
-/// them) under the "sched-<variant>" report row.
+/// Task-graph scheduler timing for one variant: times the
+/// parallel-over-boxes plan under the list scheduler at T=2 and
+/// T=MaxThreads, printing a table with max idle shares and recording
+/// "list_T<n>" seconds plus informational "idle_list_T<n>" idle shares
+/// (tools/bench_compare prints "idle"-prefixed keys but never gates them)
+/// under the "sched-<variant>" report row.
 void timeSchedulerStrategies(mfd::Variant V, const std::vector<rt::Box> &In,
                              std::vector<rt::Box> &Out, const Config &Cfg,
                              JsonReport &Json);

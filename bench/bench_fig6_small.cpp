@@ -47,7 +47,7 @@ int main() {
               "beating the series baseline;\nstorage reduction matters "
               "little because every temporary already fits in cache.\n");
 
-  // Scheduler head-to-head on the two extremes of task granularity: the
+  // Scheduler timing on the two extremes of task granularity: the
   // single-assignment baseline (widest graph) and the fused+reduced
   // schedule (heaviest per-task work).
   timeSchedulerStrategies(Variant::SeriesSA, In, Out, Cfg, Json);

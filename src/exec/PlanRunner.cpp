@@ -457,31 +457,65 @@ exec::buildFootprintTracker(const ExecutionPlan &Plan,
 
 namespace {
 
-/// Raises E016 when a budget was requested on a path that cannot honor it
-/// (anything but the untiled list-scheduled run). Refusing loudly beats a
-/// budget that silently does not bind; the recovery ladder turns this into
-/// an L007 descent to the serial rung.
-void refuseBudget(std::int64_t Budget, const char *Why) {
-  if (Budget > 0)
+/// Scheduling units of a parallel run, as plan task ids. With \p ByTile
+/// consecutive tasks of one tile form one unit (the tile-parallel
+/// contract: a tile's instructions run back to back on one worker);
+/// otherwise every task is its own unit, in plan order.
+std::vector<std::vector<int>> schedulingUnits(const ExecutionPlan &Plan,
+                                              bool ByTile) {
+  std::vector<std::vector<int>> Units;
+  int LastTile = -2;
+  for (std::size_t T = 0; T < Plan.Tasks.size(); ++T) {
+    int Tile = ByTile ? Plan.Instrs[Plan.Tasks[T].Instr].Tile : -1;
+    if (Units.empty() || Tile < 0 || Tile != LastTile)
+      Units.emplace_back();
+    Units.back().push_back(static_cast<int>(T));
+    LastTile = Tile;
+  }
+  return Units;
+}
+
+/// The one place a parallel run builds and dispatches its TaskGraph: one
+/// task per unit, running \p Work(Unit, Participant), with the plan's
+/// task dependences lifted onto units, under the list scheduler at
+/// \p Threads. \p Memory is the footprint model (its task ids are plan
+/// task ids, so units must then be single tasks in plan order), or null on
+/// paths that model no shared storage — there a nonzero \p Budget raises
+/// E016 naming \p Unmodeled instead of silently not binding, and the
+/// recovery ladder turns that into an L007 descent to the serial rung.
+void runTaskGraph(
+    const ExecutionPlan &Plan, const std::vector<std::vector<int>> &Units,
+    int Threads,
+    const std::function<void(const std::vector<int> &, int)> &Work,
+    std::int64_t Budget, storage::FootprintTracker *Memory,
+    const char *Unmodeled = nullptr) {
+  if (Budget > 0 && !Memory)
     support::raise(support::ErrorCode::MemBudgetInfeasible,
-                   std::string("memory budget not enforceable: ") + Why);
+                   std::string("memory budget not enforceable: ") +
+                       Unmodeled);
+  TaskGraph TG;
+  std::vector<int> UnitOf(Plan.Tasks.size());
+  for (std::size_t U = 0; U < Units.size(); ++U) {
+    const std::vector<int> &Unit = Units[U];
+    TG.addTask([&Work, &Unit](int Participant) { Work(Unit, Participant); });
+    for (int T : Unit)
+      UnitOf[static_cast<std::size_t>(T)] = static_cast<int>(U);
+  }
+  std::set<std::pair<int, int>> Seen;
+  for (std::size_t T = 0; T < Plan.Tasks.size(); ++T)
+    for (int D : Plan.Tasks[T].Deps) {
+      const int From = UnitOf[static_cast<std::size_t>(D)], To = UnitOf[T];
+      if (From != To && Seen.emplace(From, To).second)
+        TG.addDependence(From, To);
+    }
+  TaskGraph::ListOptions LO;
+  LO.Threads = Threads;
+  LO.MemBudget = Budget;
+  LO.Memory = Memory;
+  TG.runList(LO);
 }
 
 } // namespace
-
-std::string_view exec::schedulerKindName(SchedulerKind K) {
-  return K == SchedulerKind::Wavefront ? "wavefront" : "list";
-}
-
-SchedulerKind exec::effectiveScheduler(SchedulerKind Requested) {
-  if (const char *Env = std::getenv("LCDFG_SCHED")) {
-    if (std::string_view(Env) == "wavefront")
-      return SchedulerKind::Wavefront;
-    if (std::string_view(Env) == "list")
-      return SchedulerKind::List;
-  }
-  return Requested;
-}
 
 std::string_view exec::kernelModeName(KernelMode K) {
   return K == KernelMode::Jit ? "jit" : "interp";
@@ -656,8 +690,6 @@ PlanStats exec::runPlan(const ExecutionPlan &Plan,
                   Store.space(S).begin());
   };
 
-  const SchedulerKind Sched = effectiveScheduler(Opts.Scheduler);
-
   // Tile-parallel contract: every tile recomputes the temporaries it
   // reads, starting from clean scratch. Kernels may read their write
   // target's current value, so "clean" has to mean the same initial state
@@ -669,9 +701,9 @@ PlanStats exec::runPlan(const ExecutionPlan &Plan,
 
   if (Threads <= 1 || Plan.Tasks.empty()) {
     // Serial: task order (always a valid topological order) — this is the
-    // reference semantics every parallel mode must reproduce. The
-    // strategy and budget knobs do not apply: serial order's footprint is
-    // the minimum any admission policy could reach anyway.
+    // reference semantics every parallel run must reproduce. The budget
+    // does not apply: serial order's footprint is the minimum any
+    // admission policy could reach anyway.
     int LastTile = -2;
     for (std::size_t T = 0; T < Plan.Tasks.size(); ++T) {
       if (Plan.TileParallel) {
@@ -692,33 +724,19 @@ PlanStats exec::runPlan(const ExecutionPlan &Plan,
   }
 
   if (!Plan.TileParallel) {
-    // Untiled (or tile-serial) plans: schedule individual tasks in
-    // dependence wavefronts over the shared storage; the conflict edges
-    // guarantee no two concurrent tasks touch the same space.
-    TaskGraph TG;
-    for (std::size_t T = 0; T < Plan.Tasks.size(); ++T)
-      TG.addTask([&Plan, &Kernels, &Shared, RowsPtr, &C, T](int Participant) {
-        runTask(Plan, static_cast<int>(T), Kernels, Shared.data(), RowsPtr, C,
-                Participant);
-      });
-    for (std::size_t T = 0; T < Plan.Tasks.size(); ++T)
-      for (int D : Plan.Tasks[T].Deps)
-        TG.addDependence(D, static_cast<int>(T));
-    if (Sched == SchedulerKind::List) {
-      // The footprint model always rides along (it feeds the priority
-      // tie-break and the peak-live counter); the budget binds only when
-      // the caller set one.
-      storage::FootprintTracker Tracker = buildFootprintTracker(Plan, Store);
-      TaskGraph::ListOptions LO;
-      LO.Threads = Threads;
-      LO.MemBudget = Opts.MemBudget;
-      LO.Memory = &Tracker;
-      TG.runList(LO);
-    } else {
-      refuseBudget(Opts.MemBudget, "the wavefront strategy has no admission "
-                                   "step (use --scheduler=list)");
-      TG.run(Threads);
-    }
+    // Untiled (or tile-serial) plans: schedule individual tasks over the
+    // shared storage; the conflict edges guarantee no two concurrent tasks
+    // touch the same space. The footprint model always rides along (it
+    // feeds the priority tie-break and the peak-live counter); the budget
+    // binds only when the caller set one.
+    storage::FootprintTracker Tracker = buildFootprintTracker(Plan, Store);
+    runTaskGraph(
+        Plan, schedulingUnits(Plan, /*ByTile=*/false), Threads,
+        [&](const std::vector<int> &Unit, int Participant) {
+          runTask(Plan, Unit.front(), Kernels, Shared.data(), RowsPtr, C,
+                  Participant);
+        },
+        Opts.MemBudget, &Tracker);
     PlanStats St =
         finish(Plan, C, secondsSince(Start), Requested, Threads, false);
     HardenGuard();
@@ -749,54 +767,25 @@ PlanStats exec::runPlan(const ExecutionPlan &Plan,
       }
   }
 
-  // Group consecutive tasks of the same tile into one scheduling unit.
-  std::vector<std::vector<int>> Groups;
-  std::vector<int> GroupOf(Plan.Tasks.size());
-  int LastTile = -2;
-  for (std::size_t T = 0; T < Plan.Tasks.size(); ++T) {
-    int Tile = Plan.Instrs[Plan.Tasks[T].Instr].Tile;
-    if (Groups.empty() || Tile < 0 || Tile != LastTile)
-      Groups.emplace_back();
-    Groups.back().push_back(static_cast<int>(T));
-    GroupOf[T] = static_cast<int>(Groups.size()) - 1;
-    LastTile = Tile;
-  }
-
-  TaskGraph TG;
-  for (const std::vector<int> &Group : Groups)
-    TG.addTask([&Plan, &Kernels, &Tables, &Store, RowsPtr, &C, &Group,
-                ScratchInit](int Participant) {
-      double *const *Spaces = Tables[static_cast<std::size_t>(Participant)]
-                                  .data();
-      // Clean scratch per group: participant 0 scribbles on the store's
-      // own temporaries (unobservable after the run) and later groups
-      // reuse every participant's buffers, so reset rather than trust
-      // whatever the previous tile left.
-      for (std::size_t S = 0; S < Plan.NumSpaces; ++S)
-        if (!Plan.SpacePersistent[S])
-          std::fill_n(Spaces[S], Store.space(S).size(), ScratchInit);
-      for (int T : Group)
-        runTask(Plan, T, Kernels, Spaces, RowsPtr, C, Participant);
-    });
-  std::set<std::pair<int, int>> Seen;
-  for (std::size_t T = 0; T < Plan.Tasks.size(); ++T)
-    for (int D : Plan.Tasks[T].Deps) {
-      int From = GroupOf[D], To = GroupOf[T];
-      if (From != To && Seen.emplace(From, To).second)
-        TG.addDependence(From, To);
-    }
   // Tile-parallel temporaries are privatized per worker, so a shared-live
-  // budget has nothing meaningful to charge — the list scheduler runs
-  // without a memory model here.
-  refuseBudget(Opts.MemBudget,
-               "tile-parallel runs privatize temporaries per worker");
-  if (Sched == SchedulerKind::List) {
-    TaskGraph::ListOptions LO;
-    LO.Threads = Threads;
-    TG.runList(LO);
-  } else {
-    TG.run(Threads);
-  }
+  // budget has nothing meaningful to charge: no footprint model here.
+  runTaskGraph(
+      Plan, schedulingUnits(Plan, /*ByTile=*/true), Threads,
+      [&](const std::vector<int> &Unit, int Participant) {
+        double *const *Spaces =
+            Tables[static_cast<std::size_t>(Participant)].data();
+        // Clean scratch per unit: participant 0 scribbles on the store's
+        // own temporaries (unobservable after the run) and later units
+        // reuse every participant's buffers, so reset rather than trust
+        // whatever the previous tile left.
+        for (std::size_t S = 0; S < Plan.NumSpaces; ++S)
+          if (!Plan.SpacePersistent[S])
+            std::fill_n(Spaces[S], Store.space(S).size(), ScratchInit);
+        for (int T : Unit)
+          runTask(Plan, T, Kernels, Spaces, RowsPtr, C, Participant);
+      },
+      Opts.MemBudget, nullptr,
+      "tile-parallel runs privatize temporaries per worker");
   PlanStats St =
       finish(Plan, C, secondsSince(Start), Requested, Threads, false);
   HardenGuard();
@@ -818,23 +807,13 @@ PlanStats exec::runPlan(const ExecutionPlan &Plan, const RunOptions &Opts) {
       runTask(Plan, static_cast<int>(T), NoKernels, nullptr, nullptr, C, 0);
     return finish(Plan, C, secondsSince(Start), Threads, 1, false);
   }
-  TaskGraph TG;
-  for (std::size_t T = 0; T < Plan.Tasks.size(); ++T)
-    TG.addTask([&Plan, &C, T](int Participant) {
-      runTask(Plan, static_cast<int>(T), NoKernels, nullptr, nullptr, C,
-              Participant);
-    });
-  for (std::size_t T = 0; T < Plan.Tasks.size(); ++T)
-    for (int D : Plan.Tasks[T].Deps)
-      TG.addDependence(D, static_cast<int>(T));
   // External plans own no storage, so there is no footprint to budget.
-  refuseBudget(Opts.MemBudget, "external-only plans own no storage");
-  if (effectiveScheduler(Opts.Scheduler) == SchedulerKind::List) {
-    TaskGraph::ListOptions LO;
-    LO.Threads = Threads;
-    TG.runList(LO);
-  } else {
-    TG.run(Threads);
-  }
+  runTaskGraph(
+      Plan, schedulingUnits(Plan, /*ByTile=*/false), Threads,
+      [&](const std::vector<int> &Unit, int Participant) {
+        runTask(Plan, Unit.front(), NoKernels, nullptr, nullptr, C,
+                Participant);
+      },
+      Opts.MemBudget, nullptr, "external-only plans own no storage");
   return finish(Plan, C, secondsSince(Start), Threads, Threads, false);
 }

@@ -104,22 +104,10 @@ struct PlanStats {
   std::string toString() const;
 };
 
-/// Which task-graph strategy parallel runs dispatch through. Serial runs
-/// (Threads <= 1 after the env cap, or CollectStats) ignore this and
-/// execute in plan task order.
-enum class SchedulerKind {
-  Wavefront, ///< Longest-path-depth levels with a barrier per level.
-  List,      ///< Work-stealing ready deques, critical-path priorities,
-             ///  optional live-temporary budget (the default).
-};
-
-/// Stable printable name ("wavefront" / "list").
-std::string_view schedulerKindName(SchedulerKind K);
-
-/// Applies the LCDFG_SCHED environment override (values "wavefront" or
-/// "list"; anything else is ignored) to \p Requested — the CI scheduler
-/// matrix re-runs unmodified test binaries through both strategies.
-SchedulerKind effectiveScheduler(SchedulerKind Requested);
+/// The task-graph strategy: parallel runs always dispatch through the
+/// work-stealing list scheduler (TaskGraph::runList). Kept only as the
+/// type of RunOptions::Scheduler; see there.
+enum class SchedulerKind { List };
 
 /// Where batched statement bodies come from.
 enum class KernelMode {
@@ -134,7 +122,7 @@ std::string_view kernelModeName(KernelMode K);
 
 /// Applies the LCDFG_JIT environment override (values "on"/"jit" force
 /// Jit, "off"/"0"/"interp" force Interp; anything else is ignored) to
-/// \p Requested, mirroring effectiveScheduler for the CI kernel matrix.
+/// \p Requested, for the CI kernel matrix.
 KernelMode effectiveKernelMode(KernelMode Requested);
 
 /// Execution options.
@@ -158,7 +146,9 @@ struct RunOptions {
   /// caller's storage is left untouched. On success the persistent spaces
   /// are copied back.
   bool Harden = false;
-  /// Task-graph strategy for parallel runs (LCDFG_SCHED overrides).
+  /// Read by nothing: parallel runs always use the list scheduler. Kept
+  /// only so the e2ebench driver, which assigns it, keeps compiling; the
+  /// next change to that benchmark drops the field and SchedulerKind.
   SchedulerKind Scheduler = SchedulerKind::List;
   /// Live-temporary byte cap for the list scheduler; 0 = unlimited. Only
   /// the untiled parallel path models storage footprint (tile-parallel

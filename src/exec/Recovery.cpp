@@ -8,6 +8,7 @@
 #include "jit/JitEngine.h"
 #include "obs/Trace.h"
 #include "storage/StorageMap.h"
+#include "support/StringUtils.h"
 #include "verify/PlanVerifier.h"
 
 #include <sstream>
@@ -19,30 +20,6 @@ using support::ErrorCode;
 using support::Status;
 
 namespace {
-
-std::string jsonEscape(std::string_view S) {
-  std::string Out;
-  Out.reserve(S.size());
-  for (char C : S) {
-    switch (C) {
-    case '"':
-      Out += "\\\"";
-      break;
-    case '\\':
-      Out += "\\\\";
-      break;
-    case '\n':
-      Out += "\\n";
-      break;
-    default:
-      if (static_cast<unsigned char>(C) < 0x20)
-        Out += ' ';
-      else
-        Out += C;
-    }
-  }
-  return Out;
-}
 
 /// First error line of a diagnostics set, for descent details.
 std::string firstError(const verify::Diagnostics &Diags) {

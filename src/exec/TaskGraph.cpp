@@ -87,34 +87,6 @@ const std::vector<int> &TaskGraph::heights() const {
   return HeightsCache;
 }
 
-void TaskGraph::run(int Threads) {
-  const std::vector<std::vector<int>> &Levels = wavefronts();
-  ThreadPool &Pool = ThreadPool::global();
-  // Wavefront spans land on the caller's buffer: the caller dispatches the
-  // level and participates in it, so its task spans nest inside.
-  obs::Tracer &Tr = obs::Tracer::global();
-  const bool Tracing = Tr.enabled();
-  const std::int32_t WaveLabel = Tracing ? Tr.intern("wavefront") : -1;
-  for (std::size_t Wave = 0; Wave < Levels.size(); ++Wave) {
-    const std::vector<int> &Level = Levels[Wave];
-    const std::int64_t T0 = Tracing ? Tr.nowNs() : 0;
-    Pool.parallelForWorker(
-        static_cast<int>(Level.size()), Threads,
-        [&](int I, int Participant) { Tasks[Level[I]].Work(Participant); });
-    if (Tracing) {
-      obs::TraceSpan S;
-      S.T0 = T0;
-      S.T1 = Tr.nowNs();
-      S.Kind = obs::SpanKind::Wavefront;
-      S.Label = WaveLabel;
-      S.A0 = static_cast<std::int32_t>(Wave);
-      S.A1 = static_cast<std::int32_t>(Level.size());
-      Tr.record(S);
-      Tr.add(obs::Counter::Wavefronts, 1);
-    }
-  }
-}
-
 namespace {
 
 /// Shared list-scheduler state. One mutex guards everything: tasks are

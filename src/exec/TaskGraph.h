@@ -6,24 +6,20 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A small task graph executed on the persistent thread pool under one of
-/// two strategies. Execution plans lower (tile x nest) units to tasks
-/// here; baselines and the MiniFluxDiv driver use it directly for their
-/// box/tile loops.
+/// A small task graph executed on the persistent thread pool by a
+/// work-stealing list scheduler. Execution plans lower (tile x nest)
+/// units to tasks here; the MiniFluxDiv driver reaches it through
+/// external-only plans for its box/tile loops.
 ///
-///  * run(): the paper's wavefront barrier — tasks grouped by longest-path
-///    depth, one parallelFor per level. Kept selectable so the list
-///    scheduler can be bit-compared and benched against it.
-///  * runList(): a work-stealing list scheduler — per-worker ready deques
-///    ordered by critical-path priority (ties favor tasks that free
-///    temporaries), idle workers steal, and an optional live-temporary
-///    budget defers tasks whose admission would push the tracked
-///    footprint past the cap.
+/// runList() keeps per-worker ready deques ordered by critical-path
+/// priority (ties favor tasks that free temporaries); idle workers steal,
+/// and an optional live-temporary budget defers tasks whose admission
+/// would push the tracked footprint past the cap.
 ///
-/// Both strategies run each task exactly once and never start a task
-/// before all its predecessors completed, so any externally observable
-/// difference between them is a data race by definition — lcdfg-lint
-/// bit-compares their outputs (T007) on every example config.
+/// Each task runs exactly once and never before all its predecessors
+/// completed, so a parallel run's externally observable result must equal
+/// the serial run in task order — lcdfg-lint bit-compares the two (T007)
+/// on every example config.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -68,12 +64,6 @@ public:
 
   int size() const { return static_cast<int>(Tasks.size()); }
 
-  /// Runs all tasks on up to \p Threads participants. Tasks are grouped
-  /// into wavefronts by longest-path depth; each wavefront is a
-  /// ThreadPool::parallelForWorker over its ready tasks. Rethrows the
-  /// first exception a task threw (remaining wavefronts are skipped).
-  void run(int Threads);
-
   /// Runs all tasks under the work-stealing list scheduler. Rethrows the
   /// first exception a task threw (tasks already running on other workers
   /// drain first; no new task starts after a failure). Raises E016 when
@@ -82,9 +72,9 @@ public:
   /// nothing in flight to free memory.
   void runList(const ListOptions &Opts);
 
-  /// The wavefront partition run() would use: Levels[L] holds the task
-  /// ids whose longest dependence chain has length L. Exposed for plan
-  /// dumping and tests. Memoized — recomputed only after addTask /
+  /// The longest-path-depth partition: Levels[L] holds the task ids whose
+  /// longest dependence chain has length L. runList() uses it to reject
+  /// cycles before anything runs; exposed for plan dumping and tests. Memoized — recomputed only after addTask /
   /// addDependence; the reference is invalidated by either.
   const std::vector<std::vector<int>> &wavefronts() const;
 
@@ -101,7 +91,8 @@ private:
   std::vector<Task> Tasks;
 
   /// Kahn levels + downward critical paths, computed together and reused
-  /// by run(), runList()'s priority pass, plan dumping, and verify.
+  /// by runList()'s cycle check and priority pass, plan dumping, and
+  /// verify.
   void computeLevels() const;
   mutable std::vector<std::vector<int>> LevelsCache;
   mutable std::vector<int> HeightsCache;

@@ -441,8 +441,8 @@ int defaultTileSize(int N) { return N >= 32 ? 8 : 4; }
 /// carries. Adjacent tiles recompute shared faces — the overlap. With
 /// \p Threads > 1 the independent tiles run in parallel (the within-box
 /// parallelization of Section 5.5).
-void overlapWithinTilesBox(const Box &In, Box &Out, int TileSize, int Threads,
-                           exec::SchedulerKind Scheduler) {
+void overlapWithinTilesBox(const Box &In, Box &Out, int TileSize,
+                           int Threads) {
   int N = In.size();
   int T = TileSize > 0 ? TileSize : defaultTileSize(N);
   Out.copyInteriorFrom(In);
@@ -469,7 +469,6 @@ void overlapWithinTilesBox(const Box &In, Box &Out, int TileSize, int Threads,
     }, Tile);
   exec::RunOptions Opts;
   Opts.Threads = Threads;
-  Opts.Scheduler = Scheduler;
   exec::runPlan(Plan, Opts);
 }
 
@@ -602,8 +601,7 @@ void mfd::runVariant(Variant V, const std::vector<Box> &In,
       break;
     case Variant::OverlapWithinTiles:
       overlapWithinTilesBox(In[I], Out[I], Cfg.TileSize,
-                            Cfg.ParallelOverBoxes ? 1 : Cfg.Threads,
-                            Cfg.Scheduler);
+                            Cfg.ParallelOverBoxes ? 1 : Cfg.Threads);
       break;
     case Variant::OverlapOfTiles:
       overlapOfTilesBox(In[I], Out[I], Cfg.TileSize);
@@ -617,7 +615,6 @@ void mfd::runVariant(Variant V, const std::vector<Box> &In,
       Plan.addExternalTask(variantName(V), [&RunBox, I](int) { RunBox(I); });
     exec::RunOptions Opts;
     Opts.Threads = Cfg.Threads;
-    Opts.Scheduler = Cfg.Scheduler;
     exec::PlanStats St = exec::runPlan(Plan, Opts);
     if (Stats)
       *Stats = std::move(St);

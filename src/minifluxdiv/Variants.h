@@ -71,9 +71,6 @@ struct RunConfig {
   /// Parallelize over boxes (the default) or within boxes over tiles
   /// (the only choice available to the Halide/PolyMage comparators).
   bool ParallelOverBoxes = true;
-  /// Task-graph strategy the box/tile plans run under — the fig6 benches
-  /// sweep both to compare schedulers head-to-head.
-  exec::SchedulerKind Scheduler = exec::SchedulerKind::List;
 };
 
 /// Problem shape: boxes of BoxSize^3 cells.

@@ -2,6 +2,8 @@
 
 #include "obs/Trace.h"
 
+#include "support/StringUtils.h"
+
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -27,8 +29,6 @@ std::string_view obs::counterName(Counter C) {
     return "exec.tasks";
   case Counter::ExternalTasks:
     return "exec.tasks.external";
-  case Counter::Wavefronts:
-    return "exec.wavefronts";
   case Counter::BatchedInstrs:
     return "exec.instrs.batched";
   case Counter::ScalarInstrs:
@@ -91,8 +91,6 @@ std::string_view obs::spanKindName(SpanKind K) {
   switch (K) {
   case SpanKind::Task:
     return "task";
-  case SpanKind::Wavefront:
-    return "wavefront";
   case SpanKind::Rung:
     return "rung";
   case SpanKind::Run:
@@ -401,27 +399,6 @@ std::string Trace::summary() const {
 
 namespace {
 
-void jsonEscapeInto(std::string &Out, std::string_view S) {
-  for (char C : S) {
-    switch (C) {
-    case '"':
-      Out += "\\\"";
-      break;
-    case '\\':
-      Out += "\\\\";
-      break;
-    case '\n':
-      Out += "\\n";
-      break;
-    default:
-      if (static_cast<unsigned char>(C) < 0x20)
-        Out += ' ';
-      else
-        Out += C;
-    }
-  }
-}
-
 void appendNum(std::string &Out, double V) {
   char Buf[64];
   std::snprintf(Buf, sizeof(Buf), "%.3f", V);
@@ -459,7 +436,7 @@ std::string Trace::toChromeJson() const {
     if (L.empty())
       Out += spanKindName(S.Kind);
     else
-      jsonEscapeInto(Out, L);
+      Out += jsonEscape(L);
     Out += "\",\"cat\":\"";
     Out += spanKindName(S.Kind);
     if (S.Kind == SpanKind::Marker) {

@@ -7,8 +7,8 @@
 ///
 /// \file
 /// The execution observability layer. PlanStats reports end-of-run totals;
-/// the tracer records *how* a schedule executed: one span per plan task,
-/// per wavefront, and per recovery rung, plus instant events for ladder
+/// the tracer records *how* a schedule executed: one span per plan task
+/// and per recovery rung, plus instant events for ladder
 /// descents and fault-injector firings, and a registry of named counters
 /// (statement instances, raw loads, batched segments vs scalar fallbacks,
 /// modulo wraps, ghost exchanges, bytes moved).
@@ -53,7 +53,6 @@ enum class Counter : unsigned {
   BytesMoved,      ///< exec.bytes.moved: 8 * (loads + stores).
   TasksExecuted,   ///< exec.tasks: plan tasks run (incl. external).
   ExternalTasks,   ///< exec.tasks.external: opaque callback tasks.
-  Wavefronts,      ///< exec.wavefronts: TaskGraph wavefronts dispatched.
   BatchedInstrs,   ///< exec.instrs.batched: instruction executions that
                    ///  went through the row-batched path.
   ScalarInstrs,    ///< exec.instrs.scalar: instruction executions through
@@ -120,7 +119,6 @@ std::string_view counterName(Counter C);
 /// rest exist for the human reading the Chrome timeline.
 enum class SpanKind : unsigned char {
   Task,      ///< One plan task execution (Task/Instr set).
-  Wavefront, ///< One TaskGraph wavefront (A0 = index, A1 = size).
   Rung,      ///< One degradation-ladder rung attempt (A0 = attempt).
   Run,       ///< One whole runPlan invocation.
   Marker,    ///< Instant event (T1 == T0): descent, fault firing.
@@ -132,7 +130,7 @@ enum class SpanKind : unsigned char {
              ///  (A0 = shard rank, A1 = step).
 };
 
-/// Printable name of \p K ("task", "wavefront", ...).
+/// Printable name of \p K ("task", "rung", ...).
 std::string_view spanKindName(SpanKind K);
 
 /// One recorded span. Timestamps are nanoseconds since the tracer's

@@ -86,7 +86,7 @@ Diagnostics obs::checkTrace(const exec::ExecutionPlan &Plan, const Trace &T) {
     return Diags;
 
   // Stage 2: worker placement — a worker is one thread, so its task spans
-  // must not overlap (tasks never nest inside each other; wavefront/rung
+  // must not overlap (tasks never nest inside each other; run/rung
   // container spans are exempt by construction). Spans are time-sorted, so
   // tracking the latest end per worker finds any overlap.
   {

@@ -55,7 +55,7 @@ inline constexpr const char *CheckDependenceOrder = "T004-dependence-order";
 inline constexpr const char *CheckWorkerOverlap = "T005-worker-overlap";
 inline constexpr const char *CheckDroppedSpans = "T006-dropped-spans";
 /// Not emitted by checkTrace itself: lcdfg-lint's scheduler bit-compare
-/// folds a wavefront-vs-list output divergence under this id.
+/// folds a parallel-vs-serial output divergence under this id.
 inline constexpr const char *CheckSchedulerDivergence =
     "T007-scheduler-divergence";
 /// Likewise lint-only: a --kernels=jit run whose persistent spaces are not
@@ -63,7 +63,7 @@ inline constexpr const char *CheckSchedulerDivergence =
 inline constexpr const char *CheckJitDivergence = "T008-jit-divergence";
 
 /// Validates \p T against \p Plan as described above. Non-task spans
-/// (wavefronts, rungs, markers) are ignored; only SpanKind::Task spans
+/// (runs, rungs, markers) are ignored; only SpanKind::Task spans
 /// participate.
 verify::Diagnostics checkTrace(const exec::ExecutionPlan &Plan,
                                const Trace &T);

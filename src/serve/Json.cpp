@@ -3,7 +3,6 @@
 #include "serve/Json.h"
 
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
 #include <sstream>
 
@@ -287,40 +286,6 @@ private:
 
 support::Expected<JsonValue> serve::parseJson(std::string_view Text) {
   return Parser(Text).run();
-}
-
-std::string serve::jsonEscape(std::string_view S) {
-  std::string Out;
-  Out.reserve(S.size() + 8);
-  for (char C : S) {
-    switch (C) {
-    case '"':
-      Out += "\\\"";
-      break;
-    case '\\':
-      Out += "\\\\";
-      break;
-    case '\n':
-      Out += "\\n";
-      break;
-    case '\r':
-      Out += "\\r";
-      break;
-    case '\t':
-      Out += "\\t";
-      break;
-    default:
-      if (static_cast<unsigned char>(C) < 0x20) {
-        char Buf[8];
-        std::snprintf(Buf, sizeof(Buf), "\\u%04x",
-                      static_cast<unsigned>(static_cast<unsigned char>(C)));
-        Out += Buf;
-      } else {
-        Out.push_back(C);
-      }
-    }
-  }
-  return Out;
 }
 
 std::string serve::jsonField(std::string_view Key, std::string_view Value) {

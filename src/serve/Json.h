@@ -23,6 +23,7 @@
 #define LCDFG_SERVE_JSON_H
 
 #include "support/Status.h"
+#include "support/StringUtils.h"
 
 #include <cstdint>
 #include <string>
@@ -68,9 +69,9 @@ struct JsonValue {
 /// the message.
 support::Expected<JsonValue> parseJson(std::string_view Text);
 
-/// Escapes \p S for embedding in a JSON string literal (quotes not
-/// included). Control bytes become \u00XX.
-std::string jsonEscape(std::string_view S);
+/// The project-wide JSON string escaper (support/StringUtils.h), under the
+/// name the response writers and their clients have always used.
+using lcdfg::jsonEscape;
 
 /// Convenience: "key":"escaped-value" fragment builders used by the
 /// response writers.

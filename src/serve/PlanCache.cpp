@@ -135,10 +135,8 @@ std::uint64_t PlanCache::hashText(std::string_view Text) {
 }
 
 bool PlanCache::Key::operator<(const Key &O) const {
-  return std::tie(ChainHash, ScriptHash, Size, Widen, Threads, Scheduler,
-                  Harden) < std::tie(O.ChainHash, O.ScriptHash, O.Size,
-                                     O.Widen, O.Threads, O.Scheduler,
-                                     O.Harden);
+  return std::tie(ChainHash, ScriptHash, Size, Widen, Harden) <
+         std::tie(O.ChainHash, O.ScriptHash, O.Size, O.Widen, O.Harden);
 }
 
 PlanCache::Key PlanCache::keyOf(const RequestSpec &Spec) {
@@ -147,8 +145,6 @@ PlanCache::Key PlanCache::keyOf(const RequestSpec &Spec) {
   K.ScriptHash = hashText(Spec.Script);
   K.Size = Spec.Size;
   K.Widen = Spec.Widen;
-  K.Threads = Spec.Threads;
-  K.Scheduler = static_cast<int>(Spec.Scheduler);
   K.Harden = Spec.Harden;
   return K;
 }

@@ -11,16 +11,16 @@
 /// turns that into a service by keeping the expensive front half — parse,
 /// graph build, transform script, storage planning, AST generation, plan
 /// lowering, fallback lowering, static verification — behind an LRU cache
-/// keyed by everything that shapes the compiled artifact:
+/// keyed by exactly what compile reads:
 ///
-///   (chain hash, script, size, widen, threads, scheduler, harden)
+///   (chain hash, script hash, size, widen, harden)
 ///
-/// The first six components are the protocol's cache key; the hardening
-/// bit rides along because it swaps the synthetic kernel *bodies* (pure
-/// vs accumulating stand-ins), which are baked into the registry at
-/// compile time. Run-only knobs (batched, kernel mode, memory budget) are
-/// deliberately not in the key: they select *how* a cached plan runs, not
-/// what was compiled, and JIT kernels have their own two-level cache in
+/// The hardening bit is a key component because it swaps the synthetic
+/// kernel *bodies* (pure vs accumulating stand-ins), which are baked into
+/// the registry at compile time. Run-only knobs (threads, batched, kernel
+/// mode, memory budget) are deliberately not in the key: they select *how*
+/// a cached plan runs, not what was compiled, so one compiled plan serves
+/// every thread count. JIT kernels have their own two-level cache in
 /// jit::Engine keyed by expression and segment shape.
 ///
 /// A CompiledPlan is immutable after construction and shared by every
@@ -62,11 +62,10 @@ struct RequestSpec {
   std::string Script; ///< Transform script text ("" = untransformed).
   std::int64_t Size = 8;
   unsigned Widen = 1;
-  int Threads = 1;
-  exec::SchedulerKind Scheduler = exec::SchedulerKind::List;
   bool Harden = false;
 
   // Run-only knobs (not part of the cache key).
+  int Threads = 1;
   bool Batched = true;
   exec::KernelMode Kernels = exec::KernelMode::Interp;
   std::int64_t MemBudget = 0;
@@ -168,8 +167,6 @@ private:
     std::uint64_t ScriptHash = 0;
     std::int64_t Size = 0;
     unsigned Widen = 1;
-    int Threads = 1;
-    int Scheduler = 0;
     bool Harden = false;
 
     bool operator<(const Key &O) const;

@@ -545,16 +545,6 @@ Status Server::decodeSpec(const JsonValue &Req, RequestSpec &Spec) const {
       return Bad("\"threads\" out of range [1, 256]");
     Spec.Threads = static_cast<int>(T);
   }
-  if (const JsonValue *V = Req.find("scheduler")) {
-    if (!V->isString())
-      return Bad("\"scheduler\" must be a string");
-    if (V->Str == "list")
-      Spec.Scheduler = exec::SchedulerKind::List;
-    else if (V->Str == "wavefront")
-      Spec.Scheduler = exec::SchedulerKind::Wavefront;
-    else
-      return Bad("unknown scheduler: " + V->Str);
-  }
   if (const JsonValue *V = Req.find("kernels")) {
     if (!V->isString())
       return Bad("\"kernels\" must be a string");
@@ -695,7 +685,6 @@ std::string Server::handleRun(const JsonValue &Req) {
     ROpts.Run.Threads = Spec.Threads;
     ROpts.Run.Batched = Spec.Batched;
     ROpts.Run.Harden = Spec.Harden;
-    ROpts.Run.Scheduler = Spec.Scheduler;
     ROpts.Run.MemBudget = Spec.MemBudget;
     ROpts.Run.Kernels = Spec.Kernels;
     // Strict verification already ran once at compile time; per-request

@@ -6,6 +6,7 @@
 #include "obs/Trace.h"
 #include "shard/Protocol.h"
 #include "shard/Topology.h"
+#include "support/StringUtils.h"
 
 #include <algorithm>
 #include <atomic>
@@ -469,21 +470,6 @@ struct Worker {
 //===----------------------------------------------------------------------===//
 // Coordinator
 //===----------------------------------------------------------------------===//
-
-std::string jsonEscape(std::string_view S) {
-  std::string Out;
-  Out.reserve(S.size());
-  for (char C : S) {
-    if (C == '"' || C == '\\')
-      Out.push_back('\\');
-    if (C == '\n') {
-      Out += "\\n";
-      continue;
-    }
-    Out.push_back(C);
-  }
-  return Out;
-}
 
 struct Coordinator {
   rt::GridLayout Layout;

@@ -3,8 +3,8 @@
 #include "support/Status.h"
 
 #include "support/Errors.h"
+#include "support/StringUtils.h"
 
-#include <cstdio>
 #include <sstream>
 
 using namespace lcdfg;
@@ -68,53 +68,15 @@ std::string Status::toString() const {
   return OS.str();
 }
 
-namespace {
-
-void appendJsonEscaped(std::ostringstream &OS, std::string_view S) {
-  for (char C : S) {
-    switch (C) {
-    case '"':
-      OS << "\\\"";
-      break;
-    case '\\':
-      OS << "\\\\";
-      break;
-    case '\n':
-      OS << "\\n";
-      break;
-    case '\t':
-      OS << "\\t";
-      break;
-    default:
-      if (static_cast<unsigned char>(C) < 0x20) {
-        char Buf[8];
-        std::snprintf(Buf, sizeof(Buf), "\\u%04x", C);
-        OS << Buf;
-      } else {
-        OS << C;
-      }
-    }
-  }
-}
-
-} // namespace
-
 std::string Status::toJson() const {
   std::ostringstream OS;
-  OS << "{\"code\":\"" << errorCodeName(Code) << "\",\"message\":\"";
-  appendJsonEscaped(OS, Msg);
-  OS << "\"";
-  if (!Sub.empty()) {
-    OS << ",\"subcode\":\"";
-    appendJsonEscaped(OS, Sub);
-    OS << "\"";
-  }
+  OS << "{\"code\":\"" << errorCodeName(Code) << "\",\"message\":\""
+     << jsonEscape(Msg) << "\"";
+  if (!Sub.empty())
+    OS << ",\"subcode\":\"" << jsonEscape(Sub) << "\"";
   OS << ",\"context\":[";
-  for (std::size_t I = 0; I < Chain.size(); ++I) {
-    OS << (I ? "," : "") << "\"";
-    appendJsonEscaped(OS, Chain[I]);
-    OS << "\"";
-  }
+  for (std::size_t I = 0; I < Chain.size(); ++I)
+    OS << (I ? "," : "") << "\"" << jsonEscape(Chain[I]) << "\"";
   OS << "]}";
   return OS.str();
 }

@@ -6,7 +6,8 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Small string helpers used by the omplc pragma parser and pretty printers.
+/// Small string helpers used by the omplc pragma parser, the pretty
+/// printers, and every JSON writer.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -35,6 +36,12 @@ bool startsWith(std::string_view S, std::string_view Prefix);
 /// Consumes \p Prefix from the front of \p S (after trimming); returns true
 /// and advances \p S on success.
 bool consumePrefix(std::string_view &S, std::string_view Prefix);
+
+/// Escapes \p S for embedding in a JSON string literal (quotes not
+/// included): quote, backslash, \n, \r and \t get their short escapes and
+/// every other control byte becomes \u00XX, so any byte string
+/// round-trips through a JSON parser.
+std::string jsonEscape(std::string_view S);
 
 } // namespace lcdfg
 

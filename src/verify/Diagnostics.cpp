@@ -7,6 +7,8 @@
 
 #include "verify/Diagnostics.h"
 
+#include "support/StringUtils.h"
+
 #include <sstream>
 
 using namespace lcdfg;
@@ -31,31 +33,6 @@ void printPoint(std::ostringstream &OS, const std::vector<std::int64_t> &Pt) {
   for (std::size_t I = 0; I < Pt.size(); ++I)
     OS << (I ? "," : "") << Pt[I];
   OS << ")";
-}
-
-/// JSON string escaping for the small character set diagnostics contain.
-std::string jsonEscape(const std::string &S) {
-  std::string Out;
-  Out.reserve(S.size());
-  for (char C : S) {
-    switch (C) {
-    case '"':
-      Out += "\\\"";
-      break;
-    case '\\':
-      Out += "\\\\";
-      break;
-    case '\n':
-      Out += "\\n";
-      break;
-    case '\t':
-      Out += "\\t";
-      break;
-    default:
-      Out += C;
-    }
-  }
-  return Out;
 }
 
 void jsonPoint(std::ostringstream &OS, const char *Key,

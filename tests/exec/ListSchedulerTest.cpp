@@ -1,10 +1,12 @@
 //===- tests/exec/ListSchedulerTest.cpp -----------------------------------===//
 //
-// The work-stealing list scheduler: dependence safety under steal storms,
-// bit-identity against the wavefront barrier and the scalar-serial oracle,
-// exception drain-and-rethrow (including injected task faults), the
-// live-temporary budget (admission deferral, peak-live cap, E016 refusal
-// up front and at a wedge), and the memoized wavefront/height queries.
+// The work-stealing list scheduler, the only way a task DAG runs:
+// dependence safety under steal storms, bit-identity against serial task
+// order on every plan shape runPlan dispatches (untiled, tile-parallel,
+// external-only), exception drain-and-rethrow (including injected task
+// faults), the live-temporary budget (admission deferral, peak-live cap,
+// E016 refusal up front, at a wedge, and on paths with no footprint
+// model), and the memoized level/height queries.
 //
 //===----------------------------------------------------------------------===//
 
@@ -18,11 +20,13 @@
 #include "obs/Trace.h"
 #include "storage/LivenessAllocator.h"
 #include "support/Status.h"
+#include "tiling/Tiling.h"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
+#include <functional>
 #include <mutex>
 #include <stdexcept>
 #include <thread>
@@ -40,27 +44,6 @@ obs::Trace drainTrace() {
   obs::Tracer::global().disable();
   return T;
 }
-
-/// Pins LCDFG_SCHED for one test. The CI scheduler matrix exports it to
-/// force a strategy suite-wide; tests that assert strategy-specific
-/// budget behavior must not have their explicit RunOptions overridden.
-struct ScopedSched {
-  std::string Saved;
-  bool Had;
-  explicit ScopedSched(const char *Kind) {
-    const char *Old = std::getenv("LCDFG_SCHED");
-    Had = Old != nullptr;
-    if (Old)
-      Saved = Old;
-    setenv("LCDFG_SCHED", Kind, 1);
-  }
-  ~ScopedSched() {
-    if (Had)
-      setenv("LCDFG_SCHED", Saved.c_str(), 1);
-    else
-      unsetenv("LCDFG_SCHED");
-  }
-};
 
 /// MiniFluxDiv harness for plan-level scheduler comparisons (same shape
 /// as the Recovery suite: seeded inputs, outputs in extent order).
@@ -92,6 +75,12 @@ struct Harness {
           });
     }
     return Store;
+  }
+
+  /// The chain under 4x4 overlapped tiling: a tile-parallel plan.
+  ExecutionPlan tiledPlan(const storage::ConcreteStorage &Store) {
+    return ExecutionPlan::fromTiling(
+        Chain, tiling::overlappedTiling(Chain, {4, 4}, Env), Store, Env);
   }
 
   std::vector<double> outputs(storage::ConcreteStorage &Store) {
@@ -251,28 +240,59 @@ TEST(ListScheduler, StatusErrorCrossesWorkerBoundaryIntact) {
   }
 }
 
-TEST(ListScheduler, MatchesWavefrontAndSerialBitIdentical) {
+TEST(ListScheduler, MatchesSerialBitIdenticalOnEveryPlanShape) {
+  // Serial task order is the reference semantics; the list scheduler at
+  // T in {2, 4} must reproduce it bit for bit on each of the three plan
+  // shapes runPlan dispatches through its one task-graph helper.
   Harness S(mfd::buildChain2D(), 8);
+  auto RunAt = [&](const ExecutionPlan &Plan, int Threads) {
+    storage::ConcreteStorage Store = S.freshStore();
+    RunOptions Opts;
+    Opts.Threads = Threads;
+    runPlan(Plan, S.Kernels, Store, Opts);
+    return S.outputs(Store);
+  };
 
-  // Scalar-serial oracle.
-  storage::ConcreteStorage Ref = S.freshStore();
-  ExecutionPlan Plan = ExecutionPlan::fromChain(S.Chain, Ref, S.Env);
-  RunOptions Serial;
-  Serial.Threads = 1;
-  runPlan(Plan, S.Kernels, Ref, Serial);
-  std::vector<double> Expected = S.outputs(Ref);
-
-  for (SchedulerKind Sched :
-       {SchedulerKind::Wavefront, SchedulerKind::List}) {
-    for (int Threads : {2, 4}) {
-      storage::ConcreteStorage Store = S.freshStore();
-      RunOptions Opts;
-      Opts.Threads = Threads;
-      Opts.Scheduler = Sched;
-      runPlan(Plan, S.Kernels, Store, Opts);
-      expectBitIdentical(Expected, S.outputs(Store));
-    }
+  storage::ConcreteStorage Shape = S.freshStore();
+  ExecutionPlan Untiled = ExecutionPlan::fromChain(S.Chain, Shape, S.Env);
+  ASSERT_FALSE(Untiled.TileParallel);
+  ExecutionPlan Tiled = S.tiledPlan(Shape);
+  ASSERT_TRUE(Tiled.TileParallel);
+  for (const ExecutionPlan *Plan : {&Untiled, &Tiled}) {
+    const std::vector<double> Expected = RunAt(*Plan, 1);
+    for (int Threads : {2, 4})
+      expectBitIdentical(Expected, RunAt(*Plan, Threads));
   }
+
+  // External-only: four layers of four tasks, each mixing two tasks of the
+  // previous layer in an order-sensitive way, so a task that started
+  // before its dependences finished would change the bits.
+  auto RunExternal = [](int Threads) {
+    constexpr int Width = 4, Layers = 4;
+    std::vector<double> V(Width * Layers, 0.0);
+    ExecutionPlan Plan;
+    for (int L = 0; L < Layers; ++L)
+      for (int J = 0; J < Width; ++J) {
+        const int Id = L * Width + J;
+        const int A = Id - Width, B = (L - 1) * Width + (J + 1) % Width;
+        Plan.addExternalTask("mix", [&V, Id, A, B, L](int) {
+          V[Id] = 0.1 * Id;
+          if (L > 0)
+            V[Id] += V[A] * 0.75 + V[B] / 3.0;
+        });
+        if (L > 0) {
+          Plan.addDependence(A, Id);
+          Plan.addDependence(B, Id);
+        }
+      }
+    RunOptions Opts;
+    Opts.Threads = Threads;
+    runPlan(Plan, Opts);
+    return V;
+  };
+  const std::vector<double> Expected = RunExternal(1);
+  for (int Threads : {2, 4})
+    expectBitIdentical(Expected, RunExternal(Threads));
 }
 
 TEST(ListScheduler, InjectedTaskFailurePropagatesStructuredError) {
@@ -284,7 +304,6 @@ TEST(ListScheduler, InjectedTaskFailurePropagatesStructuredError) {
       FaultSpec{FaultSite::Task, FaultKind::Fail, 1});
   RunOptions Opts;
   Opts.Threads = 2;
-  Opts.Scheduler = SchedulerKind::List;
   try {
     runPlan(Plan, S.Kernels, Store, Opts);
     FaultInjector::global().disarm();
@@ -399,27 +418,41 @@ TEST(ListScheduler, WedgeWithOnlyDeferredTasksRaisesE016) {
 TEST(ListScheduler, BudgetRefusedOutsideTheListUntiledPath) {
   if (ThreadPool::effectiveThreads(2) < 2)
     GTEST_SKIP() << "serial runs waive the budget by design (L007 rung)";
-  ScopedSched Pin("wavefront");
   Harness S(mfd::buildChain2D(), 8);
-  storage::ConcreteStorage Store = S.freshStore();
-  ExecutionPlan Plan = ExecutionPlan::fromChain(S.Chain, Store, S.Env);
-
-  // The wavefront strategy has no admission step: a nonzero budget is an
-  // error, not a silently unenforced knob.
   RunOptions Opts;
   Opts.Threads = 2;
-  Opts.Scheduler = SchedulerKind::Wavefront;
   Opts.MemBudget = 1 << 20;
-  try {
-    runPlan(Plan, S.Kernels, Store, Opts);
-    FAIL() << "expected E016";
-  } catch (const support::StatusError &E) {
-    EXPECT_EQ(E.status().code(), support::ErrorCode::MemBudgetInfeasible);
-  }
+  auto ExpectE016 = [](const std::function<void()> &Run, const char *Path) {
+    try {
+      Run();
+      ADD_FAILURE() << Path << ": expected E016";
+    } catch (const support::StatusError &E) {
+      EXPECT_EQ(E.status().code(), support::ErrorCode::MemBudgetInfeasible)
+          << Path;
+      EXPECT_NE(E.status().message().find("not enforceable"),
+                std::string::npos)
+          << Path << ": " << E.status().toString();
+    }
+  };
+
+  // Tile-parallel runs privatize temporaries per worker and external-only
+  // plans own no storage: neither has a footprint model, so a nonzero
+  // budget is an error, not a silently unenforced knob.
+  storage::ConcreteStorage Store = S.freshStore();
+  ExecutionPlan Tiled = S.tiledPlan(Store);
+  ASSERT_TRUE(Tiled.TileParallel);
+  ExpectE016([&] { runPlan(Tiled, S.Kernels, Store, Opts); },
+             "tile-parallel");
+
+  std::atomic<int> Ran{0};
+  ExecutionPlan External;
+  for (int T = 0; T < 4; ++T)
+    External.addExternalTask("noop", [&Ran](int) { ++Ran; });
+  ExpectE016([&] { runPlan(External, Opts); }, "external-only");
+  EXPECT_EQ(Ran.load(), 0) << "refused before any task ran";
 }
 
 TEST(ListScheduler, GenerousBudgetMatchesOracleAndRecordsPeak) {
-  ScopedSched Pin("list");
   Harness S(mfd::buildChain2D(), 8);
 
   storage::ConcreteStorage Ref = S.freshStore();
@@ -433,7 +466,6 @@ TEST(ListScheduler, GenerousBudgetMatchesOracleAndRecordsPeak) {
   storage::ConcreteStorage Store = S.freshStore();
   RunOptions Opts;
   Opts.Threads = 4;
-  Opts.Scheduler = SchedulerKind::List;
   Opts.MemBudget = 1 << 30;
   runPlan(Plan, S.Kernels, Store, Opts);
   obs::Trace Trace = drainTrace();

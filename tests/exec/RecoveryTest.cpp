@@ -147,10 +147,10 @@ TEST(Recovery, InjectedKernelThrowDescendsOneRungBitIdentical) {
 }
 
 TEST(Recovery, ListSchedulerDescentStaysBitIdentical) {
-  // The injected-throw row again, but with the first rung running under
-  // the work-stealing list scheduler: the ladder's snapshot/restore and
-  // the retry rung must reproduce the oracle bit for bit regardless of
-  // which strategy the failing attempt used.
+  // The injected-throw row again, but with the first rung running in
+  // parallel under the work-stealing list scheduler: the ladder's
+  // snapshot/restore and the retry rung must reproduce the oracle bit for
+  // bit even though the failing attempt ran tasks concurrently.
   Harness S(mfd::buildChain2D(), 8);
   std::vector<double> Expected = S.oracle();
 
@@ -160,7 +160,6 @@ TEST(Recovery, ListSchedulerDescentStaysBitIdentical) {
   ScopedGlobalFault Fault(FaultSpec{FaultSite::Kernel, FaultKind::Throw, 1});
   RecoverOptions Opts;
   Opts.Run.Threads = 4;
-  Opts.Run.Scheduler = SchedulerKind::List;
   RunReport R = runWithRecovery(Plan, S.Kernels, Store, Opts);
 
   EXPECT_TRUE(R.Completed) << R.toString();
@@ -184,7 +183,6 @@ TEST(Recovery, InfeasibleBudgetWaivedViaL007) {
 
   RecoverOptions Opts;
   Opts.Run.Threads = 2;
-  Opts.Run.Scheduler = SchedulerKind::List;
   Opts.Run.MemBudget = 1;
   RunReport R = runWithRecovery(Plan, S.Kernels, Store, Opts);
 

@@ -2,8 +2,9 @@
 //
 // The scheduling substrate of the execution layer: the persistent thread
 // pool behind rt::parallelFor (dynamic claiming, exception propagation,
-// serial nesting, LCDFG_THREADS capping) and the dependence-respecting
-// TaskGraph wavefront runner.
+// serial nesting, LCDFG_THREADS capping) and the TaskGraph's
+// longest-path levels and cycle detection (its scheduler is covered in
+// ListSchedulerTest.cpp).
 //
 //===----------------------------------------------------------------------===//
 
@@ -141,31 +142,6 @@ TEST(TaskGraph, WavefrontsFollowLongestPathDepth) {
   EXPECT_EQ(Waves[2], (std::vector<int>{3}));
 }
 
-TEST(TaskGraph, RunRespectsDependences) {
-  // A chain interleaved with independent tasks: each task records the
-  // completion set it observed; dependences must already be in it.
-  TaskGraph TG;
-  std::mutex Mu;
-  std::set<int> Done;
-  auto Record = [&](int Id, std::vector<int> Deps) {
-    return [&, Id, Deps = std::move(Deps)](int) {
-      std::lock_guard<std::mutex> Lock(Mu);
-      for (int D : Deps)
-        EXPECT_TRUE(Done.count(D)) << "task " << Id << " ran before dep " << D;
-      Done.insert(Id);
-    };
-  };
-  int A = TG.addTask(Record(0, {}));
-  int B = TG.addTask(Record(1, {0}));
-  int C = TG.addTask(Record(2, {}));
-  int D = TG.addTask(Record(3, {1, 2}));
-  TG.addDependence(A, B);
-  TG.addDependence(B, D);
-  TG.addDependence(C, D);
-  TG.run(4);
-  EXPECT_EQ(Done.size(), 4u);
-}
-
 TEST(ThreadPool, FirstExceptionWinsUnderContention) {
   // Many iterations throw; exactly one exception surfaces and the pool
   // drains cleanly at both throttled thread counts.
@@ -188,48 +164,6 @@ TEST(ThreadPool, FirstExceptionWinsUnderContention) {
     std::atomic<int> Sum{0};
     ThreadPool::global().parallelFor(32, 8, [&](int I) { Sum += I; });
     EXPECT_EQ(Sum.load(), 32 * 31 / 2) << "LCDFG_THREADS=" << Threads;
-  }
-}
-
-TEST(TaskGraph, WorkerExceptionPropagatesAndPoolSurvives) {
-  // A failing task-graph node must surface its exception at run() without
-  // deadlocking the wavefront scheduler, and the graph/pool must be
-  // reusable for a clean run afterwards.
-  for (const char *Threads : {"2", "4"}) {
-    ScopedThreadsEnv Env(Threads);
-    std::atomic<int> Completed{0};
-    TaskGraph Failing;
-    int A = Failing.addTask([&](int) { ++Completed; });
-    int B = Failing.addTask(
-        [](int) { throw std::runtime_error("node fault"); });
-    Failing.addDependence(A, B);
-    EXPECT_THROW(Failing.run(4), std::runtime_error);
-    EXPECT_EQ(Completed.load(), 1) << "dependency ran before the fault";
-
-    TaskGraph Clean;
-    std::atomic<int> Ran{0};
-    for (int I = 0; I < 16; ++I)
-      Clean.addTask([&](int) { ++Ran; });
-    Clean.run(4);
-    EXPECT_EQ(Ran.load(), 16) << "LCDFG_THREADS=" << Threads;
-  }
-}
-
-TEST(TaskGraph, StatusErrorCrossesWorkerBoundaryIntact) {
-  // Structured errors raised inside a worker (the fault injector's
-  // delivery path) must arrive at the caller as StatusError, code and
-  // message preserved — the degradation ladder classifies on both.
-  TaskGraph TG;
-  TG.addTask([](int) {
-    support::raise(support::ErrorCode::FaultInjected,
-                   "injected fault: kernel:throw");
-  });
-  try {
-    TG.run(2);
-    FAIL() << "expected StatusError";
-  } catch (const support::StatusError &E) {
-    EXPECT_EQ(E.status().code(), support::ErrorCode::FaultInjected);
-    EXPECT_NE(E.status().message().find("kernel:throw"), std::string::npos);
   }
 }
 

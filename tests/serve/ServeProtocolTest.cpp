@@ -12,8 +12,11 @@
 #include "serve/Server.h"
 
 #include "ServeTestUtil.h"
+#include "exec/Recovery.h"
 #include "serve/Json.h"
 #include "serve/PlanCache.h"
+#include "shard/ShardRunner.h"
+#include "verify/Diagnostics.h"
 
 #include <gtest/gtest.h>
 
@@ -59,6 +62,54 @@ TEST(ServeJson, EscapeRoundTrips) {
   auto V = parseJson("{\"k\":\"" + jsonEscape(Hostile) + "\"}");
   ASSERT_TRUE(bool(V));
   EXPECT_EQ(V->find("k")->asString(), Hostile);
+}
+
+TEST(ServeJson, EveryReportWriterEscapesControlBytes) {
+  // All JSON writers share one escaper: text with a tab, a carriage return
+  // and a raw control byte must come back out of the parser unchanged
+  // from a RunReport, a ShardReport, a Diagnostics set, and a Status.
+  const std::string Text = "a\tb\rc\x01";
+  auto Parse = [](const std::string &Json) {
+    auto V = parseJson(Json);
+    EXPECT_TRUE(bool(V)) << Json;
+    return V ? *V : JsonValue();
+  };
+
+  exec::RunReport Run;
+  Run.FinalRung = Text;
+  Run.Descents.push_back({Text, Text, Text});
+  JsonValue R = Parse(Run.toJson());
+  EXPECT_EQ(R.find("final_rung")->asString(), Text);
+  ASSERT_EQ(R.find("descents")->Items.size(), 1u);
+  EXPECT_EQ(R.find("descents")->Items[0].find("detail")->asString(), Text);
+
+  shard::ShardReport Shard;
+  Shard.FinalRung = Text;
+  Shard.Descents.push_back({Text, Text, Text});
+  JsonValue S = Parse(Shard.toJson());
+  EXPECT_EQ(S.find("final_rung")->asString(), Text);
+  ASSERT_EQ(S.find("descents")->Items.size(), 1u);
+  EXPECT_EQ(S.find("descents")->Items[0].find("reason")->asString(), Text);
+
+  verify::Diagnostics Diags;
+  verify::Diagnostic D;
+  D.CheckId = Text;
+  D.Message = Text;
+  D.Array = Text;
+  Diags.add(D);
+  JsonValue V = Parse(Diags.toJson());
+  ASSERT_EQ(V.find("diagnostics")->Items.size(), 1u);
+  const JsonValue &First = V.find("diagnostics")->Items[0];
+  EXPECT_EQ(First.find("message")->asString(), Text);
+  EXPECT_EQ(First.find("array")->asString(), Text);
+
+  support::Status St = support::Status::error(ErrorCode::Internal, Text);
+  St.withSubcode(Text).withContext(Text);
+  JsonValue J = Parse(St.toJson());
+  EXPECT_EQ(J.find("message")->asString(), Text);
+  EXPECT_EQ(J.find("subcode")->asString(), Text);
+  ASSERT_EQ(J.find("context")->Items.size(), 1u);
+  EXPECT_EQ(J.find("context")->Items[0].asString(), Text);
 }
 
 TEST(ServeJson, RejectsMalformedInputWithE020) {
@@ -135,12 +186,10 @@ TEST(PlanCache, EveryKeyComponentDiscriminates) {
   ASSERT_TRUE(bool(Cache.get(fig1Spec(8), &Hit)));
 
   RequestSpec Variants[] = {fig1Spec(9), fig1Spec(8), fig1Spec(8),
-                            fig1Spec(8), fig1Spec(8), fig1Spec(8)};
+                            fig1Spec(8)};
   Variants[1].Script.clear();
   Variants[2].Widen = 2;
-  Variants[3].Threads = 2;
-  Variants[4].Scheduler = exec::SchedulerKind::Wavefront;
-  Variants[5].Harden = true;
+  Variants[3].Harden = true;
   for (RequestSpec &Spec : Variants) {
     Hit = true;
     auto CP = Cache.get(Spec, &Hit);
@@ -150,6 +199,7 @@ TEST(PlanCache, EveryKeyComponentDiscriminates) {
 
   // Run-only knobs must NOT discriminate: same entry, now a hit.
   RequestSpec RunOnly = fig1Spec(8);
+  RunOnly.Threads = 4;
   RunOnly.Batched = false;
   RunOnly.Kernels = exec::KernelMode::Jit;
   RunOnly.MemBudget = 1 << 30;
@@ -277,7 +327,6 @@ TEST_F(ProcessLineTest, GarbageAndWrongShapesAreE020) {
       R"({"size":8})",
       R"({"chain":42})",
       R"({"chain":"x","size":"big"})",
-      R"({"chain":"x","scheduler":"fifo"})",
       R"({"chain":"x","kernels":"cuda"})",
       R"({"chain":"x","size":0})",
       R"({"chain":"x","size":100000000})",
@@ -380,19 +429,36 @@ TEST_F(ProcessLineTest, EveryKnobCombinationStaysBitIdentical) {
   ASSERT_TRUE(R0.find("ok")->asBool());
   std::string Fnv = R0.find("result_fnv")->asString();
 
-  for (const char *Sched : {"list", "wavefront"})
-    for (int Threads : {1, 2, 4})
-      for (int Batched : {0, 1}) {
-        RequestBuilder B = Base;
-        B.Scheduler = Sched;
-        B.Threads = Threads;
-        B.Batched = Batched;
-        JsonValue R = process(B.line());
-        ASSERT_TRUE(R.find("ok")->asBool())
-            << Sched << "/" << Threads << "/" << Batched;
-        EXPECT_EQ(R.find("result_fnv")->asString(), Fnv)
-            << Sched << "/" << Threads << "/" << Batched;
-      }
+  for (int Threads : {1, 2, 4})
+    for (int Batched : {0, 1}) {
+      RequestBuilder B = Base;
+      B.Threads = Threads;
+      B.Batched = Batched;
+      JsonValue R = process(B.line());
+      ASSERT_TRUE(R.find("ok")->asBool()) << Threads << "/" << Batched;
+      EXPECT_EQ(R.find("result_fnv")->asString(), Fnv)
+          << Threads << "/" << Batched;
+    }
+}
+
+TEST_F(ProcessLineTest, ThreadCountSharesOneCompiledPlan) {
+  // Compile never reads the thread count, so it is not a key dimension: a
+  // request differing only in "threads" reuses the first one's plan.
+  RequestBuilder B;
+  B.Script = Fig1Script;
+  B.Size = 10;
+  B.Checksum = 1;
+  B.Threads = 1;
+  JsonValue R1 = process(B.line());
+  ASSERT_TRUE(R1.find("ok")->asBool());
+  EXPECT_EQ(R1.find("cache")->asString(), "miss");
+
+  B.Threads = 4;
+  JsonValue R2 = process(B.line());
+  ASSERT_TRUE(R2.find("ok")->asBool());
+  EXPECT_EQ(R2.find("cache")->asString(), "hit");
+  EXPECT_EQ(R2.find("result_fnv")->asString(),
+            R1.find("result_fnv")->asString());
 }
 
 TEST_F(ProcessLineTest, StatsInvariantHoldsUnderMixedTraffic) {

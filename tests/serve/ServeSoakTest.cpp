@@ -11,8 +11,8 @@
 //      line; garbage in never produces garbage out.
 //   3. Warm results are bit-identical to cold: the first result_fnv seen
 //      for a (chain, script, size, widen, harden) key is the contract for
-//      every later request with that key, across threads, schedulers,
-//      batching, and kernel modes.
+//      every later request with that key, across threads, batching, and
+//      kernel modes.
 //   4. The cache ledger balances: hits + misses == admitted.
 //
 // Everything is seeded, so a failure reproduces from its request index.
@@ -86,8 +86,8 @@ std::string mutate(std::string Text, std::mt19937_64 &Rng) {
 
 /// Identity ledger: first fnv per semantic key wins, later ones must
 /// match bit for bit. Knobs that may not change results (threads,
-/// scheduler, batched, kernels, cache bypass) are deliberately NOT part
-/// of the key — that is the property under test.
+/// batched, kernels, cache bypass) are deliberately NOT part of the key —
+/// that is the property under test.
 class FnvLedger {
 public:
   /// Returns false (and fills Prev) on a mismatch.
@@ -207,7 +207,6 @@ void soakWorker(unsigned ThreadId, const ServerOptions &Opts,
     B.Size = Sizes[Draw(std::size(Sizes))];
     B.Widen = Draw(3) == 0 ? 1 : 0;
     B.Threads = static_cast<std::int64_t>(Draw(3)); // 0 = library default.
-    B.Scheduler = Draw(2) ? "list" : "wavefront";
     B.Kernels = Draw(2) ? "jit" : "interp";
     B.Batched = static_cast<int>(Draw(2));
     B.Harden = Draw(4) == 0 ? 1 : 0;
@@ -262,7 +261,7 @@ void soakWorker(unsigned ThreadId, const ServerOptions &Opts,
       ADD_FAILURE() << "req " << I << ": warm result " << Fnv
                     << " diverged from cold result " << Prev
                     << " (size=" << B.Size << " widen=" << B.Widen
-                    << " threads=" << B.Threads << " sched=" << B.Scheduler
+                    << " threads=" << B.Threads
                     << " kernels=" << B.Kernels << " batched=" << B.Batched
                     << ")";
     }

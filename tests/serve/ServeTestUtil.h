@@ -63,7 +63,6 @@ struct RequestBuilder {
   std::int64_t Size = 8;
   std::int64_t Widen = 0;
   std::int64_t Threads = 0;
-  std::string Scheduler;
   std::string Kernels;
   int Batched = -1; ///< -1 absent, 0 false, 1 true.
   int Harden = -1;
@@ -84,8 +83,6 @@ struct RequestBuilder {
       L += "," + jsonField("widen", Widen);
     if (Threads > 0)
       L += "," + jsonField("threads", Threads);
-    if (!Scheduler.empty())
-      L += "," + jsonField("scheduler", std::string_view(Scheduler));
     if (!Kernels.empty())
       L += "," + jsonField("kernels", std::string_view(Kernels));
     if (Batched >= 0)

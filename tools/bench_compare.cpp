@@ -25,7 +25,7 @@
 // report (a vanished row fails — a renamed benchmark must update its
 // baseline); the "_meta" block is informational and ignored; rows new in
 // the fresh report are listed but do not gate; keys starting with "idle"
-// carry idle-share ratios rather than seconds (the scheduler head-to-head
+// carry idle-share ratios rather than seconds (the sched-* scheduler
 // rows) and are printed for trend-watching but never gated or counted;
 // variants matching the optional prefix that vanished wholesale are
 // reported as skips, not misses.

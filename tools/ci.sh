@@ -32,13 +32,12 @@
 #                          # src/{exec,verify,obs,jit,serve}
 #
 # The tsan stage additionally re-runs the execution-layer and
-# observability tests across the scheduler matrix — LCDFG_SCHED in
-# {wavefront, list} times LCDFG_THREADS in {2, 4} — so both task-graph
-# strategies see every cross-thread handoff under the race detector. The
-# verify stage sweeps every example chain and MiniFluxDiv recipe through
+# observability tests at LCDFG_THREADS in {2, 4}, so the list scheduler
+# sees every cross-thread handoff under the race detector. The verify
+# stage sweeps every example chain and MiniFluxDiv recipe through
 # lcdfg-lint --strict, which exits nonzero on any legality ERROR (and,
-# with --trace, bit-compares list-scheduler outputs against the wavefront
-# reference).
+# with --trace, bit-compares list-scheduler outputs against the serial
+# task-order reference).
 #
 # The faults stage drives the graceful-degradation ladder end to end:
 # every LCDFG_FAULT class is injected into `lcdfg-opt --report` (built
@@ -249,12 +248,6 @@ fault_campaign() {
   # the fault fires, exercising the ladder's store snapshot/restore.
   run_fault kernel:throw:2 L002-worker-exception --threads=2
   run_fault task:fail L002-worker-exception --threads=2
-  # Same transient faults with the wavefront strategy forced, so both
-  # schedulers' drain-then-rethrow paths stay on the ladder's happy path.
-  LCDFG_SCHED=wavefront run_fault kernel:throw L002-worker-exception \
-    --threads=2
-  LCDFG_SCHED=wavefront run_fault task:fail L002-worker-exception \
-    --threads=2
   # An infeasible live-temporary budget is refused deterministically
   # (E016) and the ladder waives it: scalar-serial, reason L007.
   OUT="$(./build-asan/tools/lcdfg-opt --report=json --threads=2 \
@@ -561,18 +554,13 @@ for PRESET in "${PRESETS[@]}"; do
   fi
   if [ "${PRESET}" = tsan ]; then
     # The ctest pass runs with the pool's default sizing; re-run the
-    # execution and observability suites across the scheduler matrix with
-    # the worker pool pinned small, so both the wavefront barrier and the
-    # work-stealing list scheduler see few-worker handoffs as the common
-    # case TSan watches.
-    for SCHED in wavefront list; do
-      for T in 2 4; do
-        echo "== tsan: LCDFG_SCHED=${SCHED} LCDFG_THREADS=${T} =="
-        LCDFG_SCHED="${SCHED}" LCDFG_THREADS="${T}" \
-          ./build-tsan/tests/test_exec
-        LCDFG_SCHED="${SCHED}" LCDFG_THREADS="${T}" \
-          ./build-tsan/tests/test_obs
-      done
+    # execution and observability suites with the worker pool pinned
+    # small, so the work-stealing list scheduler sees few-worker handoffs
+    # as the common case TSan watches.
+    for T in 2 4; do
+      echo "== tsan: LCDFG_THREADS=${T} =="
+      LCDFG_THREADS="${T}" ./build-tsan/tests/test_exec
+      LCDFG_THREADS="${T}" ./build-tsan/tests/test_obs
     done
   fi
 done

@@ -15,10 +15,10 @@
 //     --strict   exit nonzero when any configuration reports an ERROR
 //     --json     emit one JSON object per line instead of text
 //     --trace    execute each statically-clean configuration with the span
-//                tracer armed — wavefront at two threads as the reference,
-//                then the list scheduler at 1/2/4 threads — folding the
-//                trace conformance check (obs::checkTrace) and the
-//                scheduler output bit-compare (T007) into its report
+//                tracer armed — serial task order as the reference, then
+//                the list scheduler at 2/4 threads — folding the trace
+//                conformance check (obs::checkTrace) and the parallel
+//                output bit-compare (T007) into its report
 //     --jit-static
 //                statically validate every JIT emission each configuration
 //                would compile (verify::KernelVerifier, K codes) — purely
@@ -175,12 +175,13 @@ void addGuarded(LintReport &Report, const std::string &Name,
 /// deterministic pattern lcdfg-opt uses so kernels never consume
 /// uninitialized storage.
 ///
-/// The pass doubles as the scheduler bit-compare gate: the wavefront
-/// strategy at two threads is the reference, then the list scheduler runs
-/// at T in {1, 2, 4} on a restored copy of the seeded store. Every run's
-/// trace is checked against the plan's dependence closure (T001-T006), and
-/// any bitwise output divergence between the strategies — which, both
-/// being dependence-respecting, can only be a data race — is reported as a
+/// The pass doubles as the scheduler bit-compare gate: a serial run in
+/// plan task order (Threads = 1, the reference semantics) is the
+/// reference, then the list scheduler runs at T in {2, 4} on a restored
+/// copy of the seeded store. Every run's trace is checked against the
+/// plan's dependence closure (T001-T006), and any bitwise output
+/// divergence from the reference — which, the scheduler being
+/// dependence-respecting, can only be a data race — is reported as a
 /// T007-scheduler-divergence error.
 void traceCheckRun(const ir::LoopChain &Chain, const exec::ExecutionPlan &Plan,
                    const codegen::KernelRegistry &Kernels,
@@ -202,14 +203,13 @@ void traceCheckRun(const ir::LoopChain &Chain, const exec::ExecutionPlan &Plan,
   };
 
   obs::Tracer &Tr = obs::Tracer::global();
-  // One traced execution under the given strategy/threads; folds the trace
+  // One traced execution at the given thread count; folds the trace
   // conformance verdict into Diags.
-  auto TracedRun = [&](exec::SchedulerKind Sched, int Threads,
+  auto TracedRun = [&](int Threads,
                        exec::KernelMode Mode = exec::KernelMode::Interp) {
     Tr.enable();
     exec::RunOptions Opts;
     Opts.Threads = Threads;
-    Opts.Scheduler = Sched;
     Opts.Kernels = Mode;
     try {
       exec::runPlan(Plan, Kernels, Store, Opts);
@@ -227,19 +227,21 @@ void traceCheckRun(const ir::LoopChain &Chain, const exec::ExecutionPlan &Plan,
       Diags.add(verify::Diagnostic(D));
   };
 
-  TracedRun(exec::SchedulerKind::Wavefront, 2);
+  TracedRun(1);
   std::vector<std::vector<double>> Reference;
   Reference.reserve(Store.numSpaces());
   for (std::size_t S = 0; S < Store.numSpaces(); ++S)
     Reference.push_back(Store.space(S));
 
-  for (int Threads : {1, 2, 4}) {
-    Restore();
-    TracedRun(exec::SchedulerKind::List, Threads);
-    // Only persistent spaces are observable: a scratch temporary's final
-    // contents are whatever its LAST writer left, and the two strategies
-    // legally order independent writers differently (tile-parallel runs
-    // even share participant 0's buffers with the store).
+  // Bit-compares the store against the reference; the first divergent
+  // space becomes a \p CheckId error "<Who> diverged from the <Ref>
+  // reference". Only persistent spaces are observable: a scratch
+  // temporary's final contents are whatever its LAST writer left, and
+  // parallel runs legally order independent writers differently
+  // (tile-parallel runs even share participant 0's buffers with the
+  // store).
+  auto CompareToReference = [&](const char *CheckId, const std::string &Who,
+                                const char *Ref) {
     for (std::size_t S = 0; S < Store.numSpaces(); ++S) {
       if (S < Plan.SpacePersistent.size() && !Plan.SpacePersistent[S])
         continue;
@@ -247,41 +249,36 @@ void traceCheckRun(const ir::LoopChain &Chain, const exec::ExecutionPlan &Plan,
                       Reference[S].size() * sizeof(double)) != 0) {
         verify::Diagnostic D;
         D.Sev = verify::Severity::Error;
-        D.CheckId = obs::CheckSchedulerDivergence;
-        D.Message = "list scheduler at " + std::to_string(Threads) +
-                    " thread(s) diverged from the wavefront reference in "
-                    "space " +
-                    std::to_string(S);
+        D.CheckId = CheckId;
+        D.Message = Who + " diverged from the " + Ref +
+                    " reference in space " + std::to_string(S);
         Diags.add(std::move(D));
-        break;
+        return;
       }
     }
+  };
+
+  for (int Threads : {2, 4}) {
+    Restore();
+    TracedRun(Threads);
+    CompareToReference(obs::CheckSchedulerDivergence,
+                       "list scheduler at " + std::to_string(Threads) +
+                           " thread(s)",
+                       "serial");
   }
 
-  // JIT bit-compare legs: the same T in {1, 2, 4} sweep with --kernels=jit
+  // JIT bit-compare legs: a T in {1, 2, 4} sweep with --kernels=jit
   // forced, against the same interpreted reference. The JIT is best-effort
   // by contract (statements it cannot specialize keep interpreted bodies),
   // so these legs stay green on compiler-less machines — what they gate is
   // that any kernel the JIT *did* specialize is bit-identical.
   for (int Threads : {1, 2, 4}) {
     Restore();
-    TracedRun(exec::SchedulerKind::List, Threads, exec::KernelMode::Jit);
-    for (std::size_t S = 0; S < Store.numSpaces(); ++S) {
-      if (S < Plan.SpacePersistent.size() && !Plan.SpacePersistent[S])
-        continue;
-      if (std::memcmp(Store.space(S).data(), Reference[S].data(),
-                      Reference[S].size() * sizeof(double)) != 0) {
-        verify::Diagnostic D;
-        D.Sev = verify::Severity::Error;
-        D.CheckId = obs::CheckJitDivergence;
-        D.Message = "jit kernels at " + std::to_string(Threads) +
-                    " thread(s) diverged from the interpreted reference in "
-                    "space " +
-                    std::to_string(S);
-        Diags.add(std::move(D));
-        break;
-      }
-    }
+    TracedRun(Threads, exec::KernelMode::Jit);
+    CompareToReference(obs::CheckJitDivergence,
+                       "jit kernels at " + std::to_string(Threads) +
+                           " thread(s)",
+                       "interpreted");
   }
 }
 

@@ -51,14 +51,10 @@
 //                          imbalance); implies a traced run like --trace
 //     --size=N             concrete size for --stats/--dump-plan (default 8)
 //     --threads=K          parallelism for --stats runs
-//     --scheduler=S        task-graph strategy for parallel runs:
-//                          list (work-stealing ready deques, the default)
-//                          or wavefront (the paper's level barrier)
 //     --mem-budget=B       live-temporary byte cap for the list scheduler;
 //                          tasks whose admission would push live bytes
 //                          past B are deferred. An infeasible budget is an
 //                          E016 error (under --report, an L007 descent).
-//                          Requires --scheduler=list.
 //     -o <file>            write output to a file instead of stdout
 //
 //===----------------------------------------------------------------------===//
@@ -137,8 +133,7 @@ int usage(const char *Argv0) {
       "                      LCDFG_FAULT peer:kill / msg:* specs (L009)\n"
       "  --size=N            concrete size for --stats/--dump-plan\n"
       "  --threads=K         parallelism for --stats runs\n"
-      "  --scheduler=S       list (work-stealing, default) | wavefront\n"
-      "  --mem-budget=B      live-temporary byte cap (list scheduler only);\n"
+      "  --mem-budget=B      live-temporary byte cap for parallel runs;\n"
       "                      infeasible budgets fail with E016\n"
       "  -o <file>           output file (default stdout)\n",
       Argv0);
@@ -345,7 +340,6 @@ int runTool(int argc, char **argv) {
   std::int64_t SizeN = 8;
   int Threads = 1;
   unsigned Streams = 4;
-  exec::SchedulerKind Scheduler = exec::SchedulerKind::List;
   exec::KernelMode KernelMode = exec::KernelMode::Interp;
   std::int64_t MemBudget = 0;
   int Shards = 0;
@@ -411,16 +405,6 @@ int runTool(int argc, char **argv) {
       }
     } else if (Arg.rfind("--threads=", 0) == 0) {
       Threads = std::atoi(Arg.c_str() + 10);
-    } else if (Arg.rfind("--scheduler=", 0) == 0) {
-      std::string V = Arg.substr(12);
-      if (V == "wavefront") {
-        Scheduler = exec::SchedulerKind::Wavefront;
-      } else if (V == "list") {
-        Scheduler = exec::SchedulerKind::List;
-      } else {
-        std::fprintf(stderr, "error: --scheduler takes wavefront|list\n");
-        return 2;
-      }
     } else if (Arg.rfind("--shards=", 0) == 0) {
       Shards = std::atoi(Arg.c_str() + 9);
       if (Shards < 1) {
@@ -445,11 +429,6 @@ int runTool(int argc, char **argv) {
   }
   if (InputPath.empty())
     return usage(argv[0]);
-  if (MemBudget > 0 && Scheduler == exec::SchedulerKind::Wavefront) {
-    std::fprintf(stderr, "error: --mem-budget needs --scheduler=list (the "
-                         "wavefront strategy has no admission step)\n");
-    return 2;
-  }
 
   std::string Source;
   if (!readFile(InputPath, Source)) {
@@ -603,7 +582,6 @@ int runTool(int argc, char **argv) {
       exec::RunOptions TimedOpts;
       TimedOpts.Threads = Threads;
       TimedOpts.Batched = Batched;
-      TimedOpts.Scheduler = Scheduler;
       TimedOpts.MemBudget = MemBudget;
       TimedOpts.Kernels = KernelMode;
       exec::PlanStats TPS = exec::runPlan(Plan, Kernels, TimedStore,
@@ -623,7 +601,6 @@ int runTool(int argc, char **argv) {
       exec::RunOptions TOpts;
       TOpts.Threads = Threads;
       TOpts.Batched = Batched;
-      TOpts.Scheduler = Scheduler;
       TOpts.MemBudget = MemBudget;
       TOpts.Kernels = KernelMode;
       exec::runPlan(Plan, Kernels, TraceStore, TOpts);
@@ -666,7 +643,6 @@ int runTool(int argc, char **argv) {
       ROpts.Run.Threads = Threads;
       ROpts.Run.Batched = Batched;
       ROpts.Run.Harden = Harden;
-      ROpts.Run.Scheduler = Scheduler;
       ROpts.Run.MemBudget = MemBudget;
       ROpts.Run.Kernels = KernelMode;
       ROpts.StrictVerify = true;
