@@ -4,6 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cctype>
+#include <ostream>
+#include <string>
+
 using namespace lcdfg;
 using parser::parseLoopChain;
 
@@ -117,6 +121,22 @@ struct ErrorCase {
   const char *ExpectSubstring;
 };
 
+// Print the expected diagnostic instead of gtest's default byte dump, whose
+// pointer bytes change from run to run.
+void PrintTo(const ErrorCase &C, std::ostream *OS) {
+  *OS << '"' << C.ExpectSubstring << '"';
+}
+
+// Name each case after its expected diagnostic ("missing domain" ->
+// missing_domain) so test names are stable across builds and runs.
+std::string errorCaseName(const ::testing::TestParamInfo<ErrorCase> &Info) {
+  std::string Name = Info.param.ExpectSubstring;
+  for (char &Ch : Name)
+    if (!std::isalnum(static_cast<unsigned char>(Ch)))
+      Ch = '_';
+  return Name;
+}
+
 class PragmaParserErrors : public ::testing::TestWithParam<ErrorCase> {};
 
 TEST_P(PragmaParserErrors, Reports) {
@@ -141,7 +161,8 @@ INSTANTIATE_TEST_SUITE_P(
         ErrorCase{"#pragma omplc for domain(0:N) with (x) "
                   "write A{(2x)} read B{(x)}\nA;",
                   "must be iterator"},
-        ErrorCase{"", "no loop nests"}));
+        ErrorCase{"", "no loop nests"}),
+    errorCaseName);
 
 TEST(PragmaParserDiagnostics, ErrorsCarryColumnAndSnippet) {
   // The malformed domain bound sits mid-line; the diagnostic must point a

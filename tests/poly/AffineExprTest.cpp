@@ -4,6 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cctype>
+#include <ostream>
+#include <string>
+
 using namespace lcdfg;
 using poly::AffineExpr;
 
@@ -82,6 +86,34 @@ struct ParseCase {
   const char *Expected; // nullptr => parse failure expected
 };
 
+// Print the input text instead of gtest's default byte dump, whose pointer
+// bytes change from run to run.
+void PrintTo(const ParseCase &C, std::ostream *OS) {
+  *OS << '"' << C.Text << '"';
+}
+
+// Spell the input text as an identifier ("2*N + 3" -> 2TimesNPlus3, "7" ->
+// Const7, "" -> Empty) so test names are stable across builds and runs. An
+// all-digit name would read as a case index to CMake's test discovery.
+std::string parseCaseName(const ::testing::TestParamInfo<ParseCase> &Info) {
+  std::string Name;
+  for (const char *P = Info.param.Text; *P; ++P) {
+    if (std::isalnum(static_cast<unsigned char>(*P)))
+      Name += *P;
+    else if (*P == '+')
+      Name += "Plus";
+    else if (*P == '-')
+      Name += "Minus";
+    else if (*P == '*')
+      Name += "Times";
+  }
+  if (Name.empty())
+    return "Empty";
+  if (Name.find_first_not_of("0123456789") == std::string::npos)
+    return "Const" + Name;
+  return Name;
+}
+
 class AffineExprParse : public ::testing::TestWithParam<ParseCase> {};
 
 TEST_P(AffineExprParse, RoundTrips) {
@@ -104,4 +136,5 @@ INSTANTIATE_TEST_SUITE_P(
                       ParseCase{"-x", "-x"}, ParseCase{"x+y-1", "x+y-1"},
                       ParseCase{"X+1", "X+1"}, ParseCase{"  7 ", "7"},
                       ParseCase{"", nullptr}, ParseCase{"+", nullptr},
-                      ParseCase{"x++1", nullptr}));
+                      ParseCase{"x++1", nullptr}),
+    parseCaseName);
