@@ -3,6 +3,7 @@
 #include "bench_common.h"
 
 #include "codegen/Generator.h"
+#include "driver/Lowering.h"
 #include "graph/GraphBuilder.h"
 #include "jit/JitEngine.h"
 #include "minifluxdiv/Spec.h"
@@ -167,14 +168,6 @@ void bench::timeCompiledSchedules(std::int64_t N, int Reps,
                   " — row batching on vs off",
               "schedule / batched_off batched_on speedup");
 
-  auto seed = [](const ir::LoopChain &Chain, storage::ConcreteStorage &S) {
-    for (const std::string &Name : Chain.arrayNames())
-      if (Chain.array(Name).Kind == ir::StorageKind::PersistentInput) {
-        std::vector<double> &Buf = S.spaceOf(Name);
-        for (std::size_t I = 0; I < Buf.size(); ++I)
-          Buf[I] = 0.001 * static_cast<double>((I * 2654435761u) % 1000u);
-      }
-  };
   auto report = [&](const std::string &Name,
                     const exec::ExecutionPlan &Plan,
                     const codegen::KernelRegistry &Kernels,
@@ -212,7 +205,7 @@ void bench::timeCompiledSchedules(std::int64_t N, int Reps,
     storage::StoragePlan SPlan =
         storage::StoragePlan::build(G, /*UseAllocation=*/false);
     storage::ConcreteStorage Store(SPlan, Env);
-    seed(Chain, Store);
+    driver::seedInputs(Chain, Store);
     exec::ExecutionPlan Plan =
         exec::ExecutionPlan::fromChain(Chain, Store, Env, &G);
     report("series", Plan, Kernels, Store);
@@ -235,7 +228,7 @@ void bench::timeCompiledSchedules(std::int64_t N, int Reps,
     storage::StoragePlan SPlan = storage::StoragePlan::build(
         G, /*UseAllocation=*/false, FuseAllModuloWiden);
     storage::ConcreteStorage Store(SPlan, Env);
-    seed(Chain, Store);
+    driver::seedInputs(Chain, Store);
     codegen::AstPtr Ast = codegen::generate(G);
     exec::ExecutionPlan Plan =
         exec::ExecutionPlan::fromAst(G, *Ast, Store, Env);

@@ -8,6 +8,8 @@
 //===----------------------------------------------------------------------===//
 
 #include "codegen/Generator.h"
+#include "exec/ExecutionPlan.h"
+#include "exec/PlanRunner.h"
 #include "codegen/Interpreter.h"
 #include "graph/CostModel.h"
 #include "graph/GraphBuilder.h"
@@ -90,7 +92,8 @@ static void BM_InterpretSeries2D(benchmark::State &State) {
   storage::ConcreteStorage Store(Plan, Env);
   codegen::AstPtr Root = codegen::generate(G);
   for (auto _ : State) {
-    codegen::execute(G, *Root, Kernels, Store, Env);
+    exec::runPlan(exec::ExecutionPlan::fromAst(G, *Root, Store, Env),
+                  Kernels, Store);
     benchmark::DoNotOptimize(Store.at("out_rho", {0, 0}));
   }
   State.SetComplexityN(State.range(0));

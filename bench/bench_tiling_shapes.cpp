@@ -10,6 +10,7 @@
 #include "tiling/Tiling.h"
 
 #include "bench_common.h"
+#include "driver/Lowering.h"
 #include "graph/GraphBuilder.h"
 #include "jit/JitEngine.h"
 #include "storage/ReuseDistance.h"
@@ -87,9 +88,7 @@ void timeFig5Schedules(std::int64_t N, std::int64_t TileSize, int Reps,
   storage::StoragePlan SPlan =
       storage::StoragePlan::build(G, /*UseAllocation=*/false);
   storage::ConcreteStorage Store(SPlan, Env);
-  std::vector<double> &InBuf = Store.spaceOf("in");
-  for (std::size_t I = 0; I < InBuf.size(); ++I)
-    InBuf[I] = 0.001 * static_cast<double>((I * 2654435761u) % 1000u);
+  driver::seedInputs(Chain, Store);
 
   bench::printHeader("fig5 chain timing at N=" + std::to_string(N) +
                          ", tile " + std::to_string(TileSize) +

@@ -10,6 +10,8 @@
 //===----------------------------------------------------------------------===//
 
 #include "codegen/Generator.h"
+#include "exec/ExecutionPlan.h"
+#include "exec/PlanRunner.h"
 #include "codegen/Interpreter.h"
 #include "codegen/IsccExport.h"
 #include "graph/AutoScheduler.h"
@@ -42,7 +44,8 @@ std::vector<double> interpret(Graph &G, codegen::KernelRegistry &Kernels,
         });
   }
   codegen::AstPtr Ast = codegen::generate(G);
-  codegen::execute(G, *Ast, Kernels, Store, Env);
+  exec::runPlan(exec::ExecutionPlan::fromAst(G, *Ast, Store, Env),
+                Kernels, Store);
   std::vector<double> Out;
   for (const std::string C : {"rho", "u", "v", "e"})
     for (std::int64_t Y = 0; Y < N; ++Y)

@@ -12,6 +12,8 @@
 //===----------------------------------------------------------------------===//
 
 #include "codegen/Generator.h"
+#include "exec/ExecutionPlan.h"
+#include "exec/PlanRunner.h"
 #include "codegen/Interpreter.h"
 #include "graph/CostModel.h"
 #include "graph/GraphBuilder.h"
@@ -92,7 +94,8 @@ std::vector<double> run(graph::Graph &G, codegen::KernelRegistry &Kernels,
             std::cos(0.2 * static_cast<double>(P[1]));
       });
   codegen::AstPtr Ast = codegen::generate(G);
-  codegen::execute(G, *Ast, Kernels, Store, Env);
+  exec::runPlan(exec::ExecutionPlan::fromAst(G, *Ast, Store, Env),
+                Kernels, Store);
   std::vector<double> Out;
   for (std::int64_t Y = 0; Y < N; ++Y)
     for (std::int64_t X = 0; X < N; ++X)

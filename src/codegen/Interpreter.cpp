@@ -2,8 +2,6 @@
 
 #include "codegen/Interpreter.h"
 
-#include "exec/ExecutionPlan.h"
-#include "exec/PlanRunner.h"
 #include "support/Errors.h"
 #include "support/Status.h"
 
@@ -42,12 +40,4 @@ const KernelExpr *KernelRegistry::expr(int Id) const {
     return nullptr;
   const auto &E = Exprs[static_cast<std::size_t>(Id)];
   return E ? &*E : nullptr;
-}
-
-void codegen::execute(
-    const graph::Graph &G, const AstNode &Root, const KernelRegistry &Kernels,
-    storage::ConcreteStorage &Store,
-    const std::map<std::string, std::int64_t, std::less<>> &Env) {
-  exec::ExecutionPlan Plan = exec::ExecutionPlan::fromAst(G, Root, Store, Env);
-  exec::runPlan(Plan, Kernels, Store);
 }

@@ -6,21 +6,20 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Executes a generated loop AST against concrete storage. Each loop nest's
-/// computation is a kernel registered by id; the interpreter resolves reads
-/// and writes through the storage plan (including modulo mappings), which
-/// makes transformed schedules directly checkable against a reference
-/// execution of the original chain.
+/// The executable statement bodies of a loop chain. Each loop nest's
+/// computation is a kernel registered by id; a generated schedule runs by
+/// lowering its AST to an exec::ExecutionPlan (ExecutionPlan::fromAst) and
+/// executing that through exec::runPlan, which resolves reads and writes
+/// through the storage plan (including modulo mappings) — so transformed
+/// schedules are directly checkable against a reference execution of the
+/// original chain.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef LCDFG_CODEGEN_INTERPRETER_H
 #define LCDFG_CODEGEN_INTERPRETER_H
 
-#include "codegen/Ast.h"
 #include "codegen/KernelExpr.h"
-#include "graph/Graph.h"
-#include "storage/StorageMap.h"
 
 #include <cstdint>
 #include <functional>
@@ -76,12 +75,6 @@ private:
   std::vector<BatchedKernel> BatchedKernels;
   std::vector<std::optional<KernelExpr>> Exprs;
 };
-
-/// Executes \p Root (generated from \p G) with parameter binding \p Env.
-/// Every nest reached must have a registered kernel.
-void execute(const graph::Graph &G, const AstNode &Root,
-             const KernelRegistry &Kernels, storage::ConcreteStorage &Store,
-             const std::map<std::string, std::int64_t, std::less<>> &Env);
 
 } // namespace codegen
 } // namespace lcdfg

@@ -2,13 +2,11 @@
 
 #include "serve/PlanCache.h"
 
-#include "codegen/Generator.h"
-#include "graph/GraphBuilder.h"
 #include "obs/Trace.h"
 #include "parser/PragmaParser.h"
 #include "parser/ScriptRunner.h"
-#include "verify/PlanVerifier.h"
 
+#include <algorithm>
 #include <chrono>
 #include <tuple>
 #include <utility>
@@ -16,114 +14,6 @@
 using namespace lcdfg;
 using namespace lcdfg::serve;
 using support::ErrorCode;
-
-namespace {
-
-/// Batched synthetic stand-in bodies, mirroring the lcdfg-opt driver: a
-/// parsed chain carries no executable kernels, so a sum of reads
-/// (accumulating, or pure under hardening — the accumulating form reads
-/// its unwritten target, which is exactly what the NaN guard flags) stands
-/// in per read arity.
-template <int Arity>
-void batchedSum(double *W, const double *const *R, const std::int64_t *S,
-                std::int64_t WS, std::int64_t N) {
-  for (std::int64_t I = 0; I < N; ++I) {
-    double Sum = W[I * WS];
-    for (int J = 0; J < Arity; ++J)
-      Sum += R[J][I * S[J]];
-    W[I * WS] = Sum;
-  }
-}
-
-template <int Arity>
-void batchedPureSum(double *W, const double *const *R, const std::int64_t *S,
-                    std::int64_t WS, std::int64_t N) {
-  for (std::int64_t I = 0; I < N; ++I) {
-    double Sum = 0.0;
-    for (int J = 0; J < Arity; ++J)
-      Sum += R[J][I * S[J]];
-    W[I * WS] = Sum;
-  }
-}
-
-codegen::BatchedKernel batchedSumForArity(std::size_t Arity, bool Pure) {
-  static constexpr codegen::BatchedKernel Acc[] = {
-      batchedSum<0>, batchedSum<1>, batchedSum<2>, batchedSum<3>,
-      batchedSum<4>, batchedSum<5>, batchedSum<6>, batchedSum<7>,
-      batchedSum<8>};
-  static constexpr codegen::BatchedKernel PureT[] = {
-      batchedPureSum<0>, batchedPureSum<1>, batchedPureSum<2>,
-      batchedPureSum<3>, batchedPureSum<4>, batchedPureSum<5>,
-      batchedPureSum<6>, batchedPureSum<7>, batchedPureSum<8>};
-  if (Arity >= sizeof(Acc) / sizeof(Acc[0]))
-    return nullptr;
-  return Pure ? PureT[Arity] : Acc[Arity];
-}
-
-/// The same left-associated sum as an expression, so JIT emissions add in
-/// the interpreter's order (bit-identity across kernel modes).
-codegen::KernelExpr sumExpr(std::size_t Arity, bool Pure) {
-  codegen::KernelExpr E = Pure ? codegen::lit(0.0) : codegen::current();
-  for (std::size_t J = 0; J < Arity; ++J)
-    E = E + codegen::read(static_cast<unsigned>(J));
-  return E;
-}
-
-/// Registers one synthetic kernel per distinct read arity and assigns ids
-/// to every nest the parse left kernel-less.
-void assignSyntheticKernels(ir::LoopChain &Chain,
-                            codegen::KernelRegistry &Kernels, bool Harden) {
-  std::map<std::size_t, int> ByArity;
-  auto IdFor = [&](std::size_t Arity) {
-    auto It = ByArity.find(Arity);
-    if (It != ByArity.end())
-      return It->second;
-    int Id = Harden ? Kernels.add(
-                          [](const std::vector<double> &Reads, double) {
-                            double Sum = 0.0;
-                            for (double R : Reads)
-                              Sum += R;
-                            return Sum;
-                          },
-                          batchedSumForArity(Arity, true), sumExpr(Arity, true))
-                    : Kernels.add(
-                          [](const std::vector<double> &Reads, double Current) {
-                            double Sum = Current;
-                            for (double R : Reads)
-                              Sum += R;
-                            return Sum;
-                          },
-                          batchedSumForArity(Arity, false),
-                          sumExpr(Arity, false));
-    ByArity.emplace(Arity, Id);
-    return Id;
-  };
-  for (unsigned N = 0; N < Chain.numNests(); ++N)
-    if (Chain.nest(N).KernelId < 0) {
-      std::size_t Arity = 0;
-      for (const ir::Access &A : Chain.nest(N).Reads)
-        Arity += A.Offsets.size();
-      Chain.nest(N).KernelId = IdFor(Arity);
-    }
-}
-
-std::int64_t storageBytes(const storage::ConcreteStorage &Store) {
-  std::int64_t Bytes = 0;
-  for (std::size_t S = 0; S < Store.numSpaces(); ++S)
-    Bytes += static_cast<std::int64_t>(Store.space(S).size() * sizeof(double));
-  return Bytes;
-}
-
-} // namespace
-
-void CompiledPlan::seedStore(storage::ConcreteStorage &Store) const {
-  for (const std::string &Name : Chain.arrayNames())
-    if (Chain.array(Name).Kind == ir::StorageKind::PersistentInput) {
-      std::vector<double> &Buf = Store.spaceOf(Name);
-      for (std::size_t I = 0; I < Buf.size(); ++I)
-        Buf[I] = 0.001 * static_cast<double>((I * 2654435761u) % 1000u);
-    }
-}
 
 std::uint64_t PlanCache::hashText(std::string_view Text) {
   std::uint64_t H = 0xcbf29ce484222325ull;
@@ -155,17 +45,12 @@ support::Expected<CompiledPlanPtr> compileImpl(const RequestSpec &Spec) {
   using Clock = std::chrono::steady_clock;
   Clock::time_point T0 = Clock::now();
 
-  auto CP = std::make_shared<CompiledPlan>();
-
   parser::ParseResult Parsed = parser::parseLoopChain(Spec.Chain);
   if (!Parsed)
     return Parsed.status().withContext("while compiling a serve request");
-  CP->Chain = std::move(*Parsed.Chain);
-  assignSyntheticKernels(CP->Chain, CP->Kernels, Spec.Harden);
-
-  CP->G.emplace(graph::buildGraph(CP->Chain));
+  driver::Scheduled S(std::move(*Parsed.Chain));
   if (!Spec.Script.empty()) {
-    parser::ScriptResult R = parser::runScript(*CP->G, Spec.Script);
+    parser::ScriptResult R = parser::runScript(*S.G, Spec.Script);
     if (!R)
       return support::Status::error(ErrorCode::IllegalTransform,
                                     "script line " + std::to_string(R.Line) +
@@ -173,41 +58,20 @@ support::Expected<CompiledPlanPtr> compileImpl(const RequestSpec &Spec) {
           .withContext("while compiling a serve request");
   }
 
-  // Bind every plausible extent symbol to the requested size; chains only
-  // consult the symbols they actually use.
-  for (const char *Sym : {"N", "M", "X", "Y", "Z", "W"})
-    CP->Env.emplace(Sym, Spec.Size);
+  driver::LowerOptions LOpts;
+  LOpts.Size = Spec.Size;
+  LOpts.Widen = Spec.Widen;
+  LOpts.Harden = Spec.Harden;
+  auto L = driver::Lowered::lower(std::move(S), {}, LOpts);
+  if (!L)
+    return L.takeError().withContext("while compiling a serve request");
+  auto CP = std::make_shared<CompiledPlan>(std::move(*L));
 
-  auto SPlan = storage::StoragePlan::tryBuild(*CP->G, true, Spec.Widen);
-  if (!SPlan)
-    return SPlan.takeError().withContext("while compiling a serve request");
-  CP->SPlan = std::move(*SPlan);
-
-  // One throwaway concrete binding: lowering resolves streams against it,
-  // and it prices the per-request allocation for admission control.
-  auto Lowered = support::tryInvoke([&] {
-    storage::ConcreteStorage Store(CP->SPlan, CP->Env);
-    CP->Ast = codegen::generate(*CP->G);
-    CP->Plan = exec::ExecutionPlan::fromAst(*CP->G, *CP->Ast, Store, CP->Env);
-    CP->StoreBytes = storageBytes(Store);
-    storage::FootprintTracker Tracker =
-        exec::buildFootprintTracker(CP->Plan, Store);
-    CP->SerialHighWater = Tracker.serialHighWater();
-
-    // The untransformed fallback rung, lowered against its own storage
-    // plan (the transformed plan's store may have collapsed arrays the
-    // fallback still writes in full).
-    CP->RefG.emplace(graph::buildGraph(CP->Chain));
-    CP->FbSPlan = storage::StoragePlan::build(*CP->RefG);
-    storage::ConcreteStorage FbStore(CP->FbSPlan, CP->Env);
-    CP->FbPlan =
-        exec::ExecutionPlan::fromChain(CP->Chain, FbStore, CP->Env, &*CP->RefG);
-    CP->FallbackBytes = storageBytes(FbStore);
-    return 0;
-  });
-  if (!Lowered)
-    return Lowered.takeError().withContext("while compiling a serve request");
-
+  // A throwaway store prices the spaces; it is freed before verification.
+  CP->SerialHighWater =
+      exec::buildFootprintTracker(CP->Plan,
+                                  storage::ConcreteStorage(CP->SPlan, CP->Env))
+          .serialHighWater();
   CP->Cost = graph::computeCost(*CP->G);
   CP->TrafficBytes =
       8 * CP->Cost.TotalRead.evaluate(std::max<std::int64_t>(Spec.Size, 1));
@@ -218,11 +82,7 @@ support::Expected<CompiledPlanPtr> compileImpl(const RequestSpec &Spec) {
   // Strict verification once per compile; per-request runs skip the gate
   // (the verdict cannot change for an immutable plan). An unclean plan is
   // still returned — the server answers its requests with E011.
-  verify::VerifyOptions VOpts;
-  VOpts.Kernels = &CP->Kernels;
-  verify::PlanVerifier Verifier(CP->Plan, VOpts);
-  verify::Diagnostics Diags = Verifier.verify();
-  verify::checkGraphSchedule(*CP->G, Diags);
+  verify::Diagnostics Diags = CP->verify();
   if (Diags.hasErrors()) {
     CP->VerifyClean = false;
     CP->VerifyDetail = Diags.toString();

@@ -34,14 +34,9 @@
 #ifndef LCDFG_SERVE_PLANCACHE_H
 #define LCDFG_SERVE_PLANCACHE_H
 
-#include "codegen/Ast.h"
-#include "codegen/Interpreter.h"
-#include "exec/ExecutionPlan.h"
+#include "driver/Lowering.h"
 #include "exec/PlanRunner.h"
 #include "graph/CostModel.h"
-#include "graph/Graph.h"
-#include "ir/LoopChain.h"
-#include "storage/StorageMap.h"
 #include "support/Status.h"
 
 #include <cstdint>
@@ -49,8 +44,8 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
+#include <utility>
 
 namespace lcdfg {
 namespace serve {
@@ -73,31 +68,14 @@ struct RequestSpec {
   bool Checksum = false; ///< FNV the persistent outputs into the response.
 };
 
-/// Everything the daemon needs to run one cached configuration. The
-/// members keep each other alive: the plan addresses spaces laid out by
-/// SPlan, streams resolved against any ConcreteStorage(SPlan, env), and
-/// kernel ids registered in Kernels; Ast and the graphs are retained so
-/// nothing dangles.
-struct CompiledPlan {
-  ir::LoopChain Chain; ///< With synthetic kernel ids assigned.
-  codegen::KernelRegistry Kernels;
-  /// Transformed (script applied). Optional only because Graph binds to
-  /// the chain at construction; engaged for every compiled entry.
-  std::optional<graph::Graph> G;
-  storage::StoragePlan SPlan;
-  codegen::AstPtr Ast;
-  exec::ExecutionPlan Plan;
+/// Everything the daemon needs to run one cached configuration: the
+/// shared lowering (driver::Lowered — chain, graphs, kernels, storage
+/// plans, plans, env, seedStore) plus what only the daemon reads.
+struct CompiledPlan : driver::Lowered {
+  explicit CompiledPlan(driver::Lowered L) : Lowered(std::move(L)) {}
 
-  /// Untransformed reference for the fallback rung.
-  std::optional<graph::Graph> RefG;
-  storage::StoragePlan FbSPlan;
-  exec::ExecutionPlan FbPlan;
-
-  exec::ParamEnv Env;
   graph::CostReport Cost; ///< S_R / S_c of the transformed graph.
 
-  std::int64_t StoreBytes = 0;    ///< One ConcreteStorage(SPlan, Env).
-  std::int64_t FallbackBytes = 0; ///< One ConcreteStorage(FbSPlan, Env).
   /// What admission charges a request: primary + fallback stores twice
   /// over (the recovery ladder snapshots both before running).
   std::int64_t AdmitBytes = 0;
@@ -115,11 +93,6 @@ struct CompiledPlan {
   std::string VerifyDetail;
 
   double CompileSeconds = 0.0;
-
-  /// Deterministically seeds the persistent inputs of \p Store — the same
-  /// pattern for every request, which is what makes warm-vs-cold
-  /// bit-identity checkable.
-  void seedStore(storage::ConcreteStorage &Store) const;
 };
 
 using CompiledPlanPtr = std::shared_ptr<const CompiledPlan>;
@@ -153,9 +126,9 @@ public:
   std::size_t capacity() const { return Capacity; }
   void clear();
 
-  /// The front half of the pipeline, cache-free: parse, synthetic
-  /// kernels, graph, script, storage plan (widened), AST, plan, fallback
-  /// plan, cost model, footprint, one strict verification.
+  /// The front half of the pipeline, cache-free: parse, script, the
+  /// shared driver::Lowered lowering (widened), then cost model,
+  /// footprint, one strict verification.
   static support::Expected<CompiledPlanPtr> compile(const RequestSpec &Spec);
 
   /// FNV-1a-64 over \p Text (the protocol's chain hash).

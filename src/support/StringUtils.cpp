@@ -3,7 +3,10 @@
 #include "support/StringUtils.h"
 
 #include <cctype>
+#include <charconv>
+#include <cmath>
 #include <cstdio>
+#include <system_error>
 
 using namespace lcdfg;
 
@@ -92,4 +95,23 @@ std::string lcdfg::jsonEscape(std::string_view S) {
     }
   }
   return Out;
+}
+
+bool lcdfg::parseInt(std::string_view S, std::int64_t &Out) {
+  std::int64_t V = 0;
+  auto [End, Err] = std::from_chars(S.data(), S.data() + S.size(), V);
+  if (S.empty() || Err != std::errc() || End != S.data() + S.size())
+    return false;
+  Out = V;
+  return true;
+}
+
+bool lcdfg::parseDouble(std::string_view S, double &Out) {
+  double V = 0.0;
+  auto [End, Err] = std::from_chars(S.data(), S.data() + S.size(), V);
+  if (S.empty() || Err != std::errc() || End != S.data() + S.size() ||
+      !std::isfinite(V))
+    return false;
+  Out = V;
+  return true;
 }

@@ -7,13 +7,14 @@
 ///
 /// \file
 /// Small string helpers used by the omplc pragma parser, the pretty
-/// printers, and every JSON writer.
+/// printers, every JSON writer, and the tools' numeric flags.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef LCDFG_SUPPORT_STRINGUTILS_H
 #define LCDFG_SUPPORT_STRINGUTILS_H
 
+#include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -42,6 +43,13 @@ bool consumePrefix(std::string_view &S, std::string_view Prefix);
 /// every other control byte becomes \u00XX, so any byte string
 /// round-trips through a JSON parser.
 std::string jsonEscape(std::string_view S);
+
+/// Parse all of \p S as a base-10 integer or a finite decimal number. False,
+/// leaving \p Out untouched, on an empty string, anything but the number
+/// (no leading whitespace, no trailing characters), or overflow — so a
+/// command-line value like "16x" or "abc" is an error instead of 16 or 0.
+bool parseInt(std::string_view S, std::int64_t &Out);
+bool parseDouble(std::string_view S, double &Out);
 
 } // namespace lcdfg
 

@@ -9,6 +9,8 @@
 #include "codegen/Interpreter.h"
 
 #include "codegen/Generator.h"
+#include "exec/ExecutionPlan.h"
+#include "exec/PlanRunner.h"
 #include "graph/GraphBuilder.h"
 #include "minifluxdiv/Spec.h"
 #include "storage/ReuseDistance.h"
@@ -60,7 +62,8 @@ std::vector<double> runSchedule(Graph &G, const Env &E, bool Reduce) {
 
   mfd::registerKernels(const_cast<ir::LoopChain &>(G.chain()), Kernels);
   AstPtr Root = generate(G);
-  execute(G, *Root, Kernels, Store, E);
+  exec::runPlan(exec::ExecutionPlan::fromAst(G, *Root, Store, E),
+                Kernels, Store);
 
   std::vector<double> Out;
   for (const std::string C : {"rho", "u", "v", "e"})

@@ -8,6 +8,8 @@
 //===----------------------------------------------------------------------===//
 
 #include "codegen/Generator.h"
+#include "exec/ExecutionPlan.h"
+#include "exec/PlanRunner.h"
 #include "godunov/Godunov.h"
 #include "godunov/GodunovGraph.h"
 #include "graph/GraphBuilder.h"
@@ -59,7 +61,8 @@ void checkSchedule(bool Fused, int N) {
                  static_cast<int>(P[2]));
       });
   codegen::AstPtr Ast = codegen::generate(G);
-  codegen::execute(G, *Ast, Kernels, Store, E);
+  exec::runPlan(exec::ExecutionPlan::fromAst(G, *Ast, Store, E),
+                Kernels, Store);
 
   for (int D = 1; D <= 3; ++D)
     for (int Z = 0; Z < N; ++Z)

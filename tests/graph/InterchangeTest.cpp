@@ -11,6 +11,8 @@
 #include "graph/Transforms.h"
 
 #include "codegen/Generator.h"
+#include "exec/ExecutionPlan.h"
+#include "exec/PlanRunner.h"
 #include "codegen/Interpreter.h"
 #include "graph/GraphBuilder.h"
 #include "minifluxdiv/Spec.h"
@@ -147,7 +149,8 @@ TEST(Interchange, InterpretedExecutionUnchanged) {
                                   Store.at(std::string("in_") + C, P) = V;
                                 });
     codegen::AstPtr Ast = codegen::generate(F.G);
-    codegen::execute(F.G, *Ast, Kernels, Store, Env);
+    exec::runPlan(exec::ExecutionPlan::fromAst(F.G, *Ast, Store, Env),
+                  Kernels, Store);
     std::vector<double> Out;
     for (std::int64_t Z = 0; Z < N; ++Z)
       for (std::int64_t Y = 0; Y < N; ++Y)

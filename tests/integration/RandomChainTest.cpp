@@ -10,6 +10,8 @@
 #include "../common/RandomChain.h"
 
 #include "codegen/Generator.h"
+#include "exec/ExecutionPlan.h"
+#include "exec/PlanRunner.h"
 #include "graph/AutoScheduler.h"
 #include "graph/CostModel.h"
 #include "graph/GraphBuilder.h"
@@ -58,7 +60,8 @@ std::vector<double> interpret(graph::Graph &G,
         });
   }
   codegen::AstPtr Ast = codegen::generate(G);
-  codegen::execute(G, *Ast, Kernels, Store, E);
+  exec::runPlan(exec::ExecutionPlan::fromAst(G, *Ast, Store, E),
+                Kernels, Store);
   std::vector<double> Out;
   for (const std::string &Name : G.chain().arrayNames()) {
     if (G.chain().array(Name).Kind != ir::StorageKind::PersistentOutput)

@@ -7,6 +7,8 @@
 //===----------------------------------------------------------------------===//
 
 #include "codegen/Generator.h"
+#include "exec/ExecutionPlan.h"
+#include "exec/PlanRunner.h"
 #include "codegen/Interpreter.h"
 #include "graph/CostModel.h"
 #include "graph/GraphBuilder.h"
@@ -109,7 +111,8 @@ TEST(EndToEnd, ParsedChainTransformsAndExecutes) {
                 1.0 + 0.01 * static_cast<double>(P[0] * 17 + P[1] * 3);
           });
     codegen::AstPtr Root = codegen::generate(G);
-    codegen::execute(G, *Root, Kernels, Store, Env);
+    exec::runPlan(exec::ExecutionPlan::fromAst(G, *Root, Store, Env),
+                  Kernels, Store);
     std::vector<double> Out;
     for (std::int64_t Y = 0; Y < 6; ++Y)
       for (std::int64_t X = 0; X < 6; ++X)
@@ -170,7 +173,8 @@ TEST(EndToEnd, InterpreterAgreesWithHandKernels3D) {
               In[0].at(C, Z, Y, X);
   }
   codegen::AstPtr Root = codegen::generate(G);
-  codegen::execute(G, *Root, Kernels, Store, Env);
+  exec::runPlan(exec::ExecutionPlan::fromAst(G, *Root, Store, Env),
+                Kernels, Store);
 
   for (int C = 0; C < 5; ++C)
     for (int Z = 0; Z < N; ++Z)

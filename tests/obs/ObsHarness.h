@@ -16,6 +16,7 @@
 
 #include "codegen/Generator.h"
 #include "codegen/Interpreter.h"
+#include "driver/Lowering.h"
 #include "exec/ExecutionPlan.h"
 #include "graph/AutoScheduler.h"
 #include "graph/GraphBuilder.h"
@@ -30,7 +31,6 @@
 
 #include <cstdint>
 #include <fstream>
-#include <map>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -51,28 +51,6 @@ struct ScopedTracer {
     obs::Tracer::global().disable();
   }
 };
-
-/// Batched form of the synthetic stand-in kernel assigned to parsed
-/// chains (mirrors the lcdfg-opt/lcdfg-lint stand-in: sum of reads
-/// accumulated into the target).
-template <int Arity>
-void batchedSum(double *W, const double *const *R, const std::int64_t *S,
-                std::int64_t WS, std::int64_t N) {
-  for (std::int64_t I = 0; I < N; ++I) {
-    double Sum = W[I * WS];
-    for (int J = 0; J < Arity; ++J)
-      Sum += R[J][I * S[J]];
-    W[I * WS] = Sum;
-  }
-}
-
-inline codegen::BatchedKernel batchedSumForArity(std::size_t Arity) {
-  static constexpr codegen::BatchedKernel Table[] = {
-      batchedSum<0>, batchedSum<1>, batchedSum<2>, batchedSum<3>,
-      batchedSum<4>, batchedSum<5>, batchedSum<6>, batchedSum<7>,
-      batchedSum<8>};
-  return Arity < sizeof(Table) / sizeof(Table[0]) ? Table[Arity] : nullptr;
-}
 
 /// One compiled fig1 lowering ready to run: the storage plan, a fresh
 /// concrete store with seeded persistent inputs, and the execution plan.
@@ -124,11 +102,11 @@ public:
       throw std::runtime_error("fig1.lc: " + Parsed.Error);
     Chain = std::move(*Parsed.Chain);
     Script = readAll(Dir + "fig1.script");
-    assignSyntheticKernels();
+    driver::assignStandInKernels(Chain, Kernels, /*Pure=*/false);
   }
 
   /// Builds the configuration's graph, storage, and plan, seeding the
-  /// persistent inputs with lcdfg-opt's deterministic pattern.
+  /// persistent inputs with the driver's deterministic pattern.
   Lowering lower(Fig1Config Config) {
     unsigned Widen = Config == Fig1Config::ScriptReducedWiden2 ? 2u : 1u;
     graph::Graph G = graph::buildGraph(Chain);
@@ -153,20 +131,11 @@ public:
     storage::StoragePlan SP =
         storage::StoragePlan::build(G, /*UseAllocation=*/true, Widen);
     storage::ConcreteStorage Store(SP, Env);
-    seedInputs(Store);
+    driver::seedInputs(Chain, Store);
     codegen::AstPtr Ast = codegen::generate(G);
     exec::ExecutionPlan Plan =
         exec::ExecutionPlan::fromAst(G, *Ast, Store, Env);
     return {std::move(SP), std::move(Store), std::move(Plan)};
-  }
-
-  void seedInputs(storage::ConcreteStorage &Store) {
-    for (const std::string &Name : Chain.arrayNames())
-      if (Chain.array(Name).Kind == ir::StorageKind::PersistentInput) {
-        std::vector<double> &Buf = Store.spaceOf(Name);
-        for (std::size_t I = 0; I < Buf.size(); ++I)
-          Buf[I] = 0.001 * static_cast<double>((I * 2654435761u) % 1000u);
-      }
   }
 
 private:
@@ -186,34 +155,10 @@ private:
     storage::StoragePlan SP =
         storage::StoragePlan::build(G, /*UseAllocation=*/false);
     storage::ConcreteStorage Store(SP, Env);
-    seedInputs(Store);
+    driver::seedInputs(Chain, Store);
     exec::ExecutionPlan Plan =
         exec::ExecutionPlan::fromTiling(Chain, Tiling, Store, Env, &G);
     return {std::move(SP), std::move(Store), std::move(Plan)};
-  }
-
-  void assignSyntheticKernels() {
-    std::map<std::size_t, int> ByArity;
-    for (unsigned N = 0; N < Chain.numNests(); ++N) {
-      if (Chain.nest(N).KernelId >= 0)
-        continue;
-      std::size_t Arity = 0;
-      for (const ir::Access &A : Chain.nest(N).Reads)
-        Arity += A.Offsets.size();
-      auto It = ByArity.find(Arity);
-      if (It == ByArity.end()) {
-        int Id = Kernels.add(
-            [](const std::vector<double> &Reads, double Current) {
-              double Sum = Current;
-              for (double R : Reads)
-                Sum += R;
-              return Sum;
-            },
-            batchedSumForArity(Arity));
-        It = ByArity.emplace(Arity, Id).first;
-      }
-      Chain.nest(N).KernelId = It->second;
-    }
   }
 };
 

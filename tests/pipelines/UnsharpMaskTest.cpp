@@ -3,6 +3,8 @@
 #include "pipelines/UnsharpMask.h"
 
 #include "codegen/Generator.h"
+#include "exec/ExecutionPlan.h"
+#include "exec/PlanRunner.h"
 #include "graph/AutoScheduler.h"
 #include "graph/CostModel.h"
 #include "graph/GraphBuilder.h"
@@ -98,7 +100,8 @@ TEST(UnsharpMask, InterpretedFusedScheduleMatchesHandKernels) {
                                    static_cast<int>(P[1]));
       });
   codegen::AstPtr Ast = codegen::generate(G);
-  codegen::execute(G, *Ast, Kernels, Store, Env);
+  exec::runPlan(exec::ExecutionPlan::fromAst(G, *Ast, Store, Env),
+                Kernels, Store);
 
   for (int Y = 0; Y < N; ++Y)
     for (int X = 0; X < N; ++X)

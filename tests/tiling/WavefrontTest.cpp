@@ -4,6 +4,8 @@
 
 #include "../common/RandomChain.h"
 #include "codegen/Generator.h"
+#include "exec/ExecutionPlan.h"
+#include "exec/PlanRunner.h"
 #include "graph/GraphBuilder.h"
 #include "graph/Transforms.h"
 #include "pipelines/UnsharpMask.h"
@@ -88,7 +90,8 @@ TEST(Wavefront, ExecutionMatchesFusedSemantics) {
       executeWavefront(F.G, F.Node, WPlan, Kernels, Store, Env, Reverse);
     } else {
       codegen::AstPtr Ast = codegen::generate(F.G);
-      codegen::execute(F.G, *Ast, Kernels, Store, Env);
+      exec::runPlan(exec::ExecutionPlan::fromAst(F.G, *Ast, Store, Env),
+                    Kernels, Store);
     }
     std::vector<double> Out;
     for (std::int64_t I = 0; I < 8; ++I)
@@ -141,7 +144,8 @@ TEST(Wavefront, TwoDimensionalFusionExposesFrontParallelism) {
       executeWavefront(G, Node, Plan, Kernels, Store, Env, Reverse);
     } else {
       codegen::AstPtr Ast = codegen::generate(G);
-      codegen::execute(G, *Ast, Kernels, Store, Env);
+      exec::runPlan(exec::ExecutionPlan::fromAst(G, *Ast, Store, Env),
+                    Kernels, Store);
     }
     std::vector<double> Out;
     for (std::int64_t Y = 0; Y < 16; ++Y)

@@ -32,9 +32,10 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include <cctype>
+#include "serve/Json.h"
+#include "support/StringUtils.h"
+
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <map>
@@ -46,102 +47,9 @@ namespace {
 
 using Report = std::map<std::string, std::map<std::string, double>>;
 
-/// Minimal recursive-descent parser for the JsonReport subset: one object
-/// of objects whose leaf values are numbers (non-numeric leaves, like the
-/// "_meta" strings, parse but are dropped).
-class Parser {
-public:
-  explicit Parser(std::string TextIn)
-      : Text(std::move(TextIn)), P(Text.c_str()), End(P + Text.size()) {}
-
-  bool parse(Report &Out) {
-    ws();
-    if (!consume('{'))
-      return false;
-    ws();
-    if (consume('}'))
-      return true;
-    do {
-      std::string Variant;
-      if (!parseString(Variant) || !expectColon())
-        return false;
-      std::map<std::string, double> Keys;
-      if (!parseInner(Keys))
-        return false;
-      Out[Variant] = std::move(Keys);
-      ws();
-    } while (consume(','));
-    ws();
-    return consume('}') && (ws(), P == End);
-  }
-
-private:
-  std::string Text;
-  const char *P;
-  const char *End;
-
-  void ws() {
-    while (P < End && std::isspace(static_cast<unsigned char>(*P)))
-      ++P;
-  }
-
-  bool consume(char C) {
-    if (P < End && *P == C) {
-      ++P;
-      return true;
-    }
-    return false;
-  }
-
-  bool expectColon() {
-    ws();
-    return consume(':');
-  }
-
-  bool parseString(std::string &Out) {
-    ws();
-    if (!consume('"'))
-      return false;
-    Out.clear();
-    while (P < End && *P != '"') {
-      if (*P == '\\' && P + 1 < End)
-        ++P;
-      Out += *P++;
-    }
-    return consume('"');
-  }
-
-  bool parseInner(std::map<std::string, double> &Out) {
-    ws();
-    if (!consume('{'))
-      return false;
-    ws();
-    if (consume('}'))
-      return true;
-    do {
-      std::string Key;
-      if (!parseString(Key) || !expectColon())
-        return false;
-      ws();
-      if (P < End && *P == '"') {
-        std::string Ignored; // string leaf (a "_meta" field)
-        if (!parseString(Ignored))
-          return false;
-      } else {
-        char *NumEnd = nullptr;
-        double V = std::strtod(P, &NumEnd);
-        if (NumEnd == P || NumEnd > End)
-          return false;
-        P = NumEnd;
-        Out[Key] = V;
-      }
-      ws();
-    } while (consume(','));
-    ws();
-    return consume('}');
-  }
-};
-
+/// Reads a JsonReport: one object of objects whose leaf values are numbers
+/// (string leaves are dropped). The "_meta" block is skipped whatever its
+/// shape; any other shape is not a bench report.
 bool readReport(const char *Path, Report &Out) {
   std::ifstream In(Path);
   if (!In) {
@@ -150,8 +58,22 @@ bool readReport(const char *Path, Report &Out) {
   }
   std::ostringstream SS;
   SS << In.rdbuf();
-  Parser P(SS.str());
-  if (!P.parse(Out)) {
+  auto Parsed = lcdfg::serve::parseJson(SS.str());
+  bool Ok = Parsed && Parsed->isObject();
+  for (std::size_t V = 0; Ok && V < Parsed->Members.size(); ++V) {
+    const auto &[Variant, Keys] = Parsed->Members[V];
+    if (Variant == "_meta")
+      continue;
+    Ok = Keys.isObject();
+    std::map<std::string, double> &Row = Out[Variant];
+    for (const auto &[Key, Leaf] : Keys.Members) {
+      if (Leaf.isNumber())
+        Row[Key] = Leaf.Num;
+      else if (!Leaf.isString())
+        Ok = false;
+    }
+  }
+  if (!Ok) {
     std::fprintf(stderr, "bench_compare: %s is not a bench report\n", Path);
     return false;
   }
@@ -174,12 +96,14 @@ int main(int argc, char **argv) {
   std::string OptionalPrefix = "jit-";
   std::vector<const char *> Paths;
   for (int I = 1; I < argc; ++I) {
+    // Numeric values must be all number: "abc" would otherwise read as 0
+    // and gate every row at zero tolerance.
     if (std::strncmp(argv[I], "--tolerance=", 12) == 0) {
-      Tolerance = std::atof(argv[I] + 12);
-      if (Tolerance < 0)
+      if (!lcdfg::parseDouble(argv[I] + 12, Tolerance) || Tolerance < 0)
         return usage(argv[0]);
     } else if (std::strncmp(argv[I], "--floor=", 8) == 0) {
-      Floor = std::atof(argv[I] + 8);
+      if (!lcdfg::parseDouble(argv[I] + 8, Floor))
+        return usage(argv[0]);
     } else if (std::strncmp(argv[I], "--optional=", 11) == 0) {
       OptionalPrefix = argv[I] + 11;
     } else if (argv[I][0] == '-') {
@@ -199,8 +123,6 @@ int main(int argc, char **argv) {
   std::printf("bench_compare: %s vs %s (tolerance %.0f%%)\n", Paths[0],
               Paths[1], Tolerance * 100.0);
   for (const auto &[Variant, Keys] : Base) {
-    if (Variant == "_meta")
-      continue;
     const auto FreshVariant = Fresh.find(Variant);
     // First-appearance/optional rows: a variant carrying the optional
     // prefix sets a baseline when present but is a skip — not a miss —
@@ -251,8 +173,6 @@ int main(int argc, char **argv) {
     }
   }
   for (const auto &[Variant, Keys] : Fresh) {
-    if (Variant == "_meta")
-      continue;
     for (const auto &[Key, S] : Keys)
       if (Base.find(Variant) == Base.end() ||
           Base.at(Variant).find(Key) == Base.at(Variant).end())

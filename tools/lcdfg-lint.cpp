@@ -27,7 +27,7 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "codegen/Generator.h"
+#include "driver/Lowering.h"
 #include "exec/ExecutionPlan.h"
 #include "graph/AutoScheduler.h"
 #include "graph/GraphBuilder.h"
@@ -40,6 +40,7 @@
 #include "storage/ReuseDistance.h"
 #include "storage/StorageMap.h"
 #include "support/Status.h"
+#include "support/StringUtils.h"
 #include "tiling/Tiling.h"
 #include "verify/KernelVerifier.h"
 #include "verify/PlanVerifier.h"
@@ -48,11 +49,9 @@
 #include <functional>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -60,57 +59,6 @@
 using namespace lcdfg;
 
 namespace {
-
-/// Batched form of the synthetic stand-in body used for parsed chains
-/// (same shape as lcdfg-opt's): sum of reads accumulated into the target.
-template <int Arity>
-void batchedSum(double *W, const double *const *R, const std::int64_t *S,
-                std::int64_t WS, std::int64_t N) {
-  for (std::int64_t I = 0; I < N; ++I) {
-    double Sum = W[I * WS];
-    for (int J = 0; J < Arity; ++J)
-      Sum += R[J][I * S[J]];
-    W[I * WS] = Sum;
-  }
-}
-
-codegen::BatchedKernel batchedSumForArity(std::size_t Arity) {
-  static constexpr codegen::BatchedKernel Table[] = {
-      batchedSum<0>, batchedSum<1>, batchedSum<2>, batchedSum<3>,
-      batchedSum<4>, batchedSum<5>, batchedSum<6>, batchedSum<7>,
-      batchedSum<8>};
-  return Arity < sizeof(Table) / sizeof(Table[0]) ? Table[Arity] : nullptr;
-}
-
-/// Assigns synthetic kernels (scalar + batched) to every nest of a parsed
-/// chain that has none.
-void assignSyntheticKernels(ir::LoopChain &Chain,
-                            codegen::KernelRegistry &Kernels) {
-  std::map<std::size_t, int> ByArity;
-  for (unsigned N = 0; N < Chain.numNests(); ++N) {
-    if (Chain.nest(N).KernelId >= 0)
-      continue;
-    std::size_t Arity = 0;
-    for (const ir::Access &A : Chain.nest(N).Reads)
-      Arity += A.Offsets.size();
-    auto It = ByArity.find(Arity);
-    if (It == ByArity.end()) {
-      codegen::KernelExpr E = codegen::current();
-      for (std::size_t J = 0; J < Arity; ++J)
-        E = E + codegen::read(static_cast<unsigned>(J));
-      int Id = Kernels.add(
-          [](const std::vector<double> &Reads, double Current) {
-            double Sum = Current;
-            for (double R : Reads)
-              Sum += R;
-            return Sum;
-          },
-          batchedSumForArity(Arity), std::move(E));
-      It = ByArity.emplace(Arity, Id).first;
-    }
-    Chain.nest(N).KernelId = It->second;
-  }
-}
 
 struct LintReport {
   bool Json = false;
@@ -171,9 +119,9 @@ void addGuarded(LintReport &Report, const std::string &Name,
 
 /// Dynamic conformance pass: executes an already-verified plan with the
 /// span tracer armed and folds obs::checkTrace's verdict into the
-/// configuration's diagnostics. Persistent inputs are seeded with the same
-/// deterministic pattern lcdfg-opt uses so kernels never consume
-/// uninitialized storage.
+/// configuration's diagnostics. Persistent inputs are seeded with the
+/// driver's deterministic pattern so kernels never consume uninitialized
+/// storage.
 ///
 /// The pass doubles as the scheduler bit-compare gate: a serial run in
 /// plan task order (Threads = 1, the reference semantics) is the
@@ -187,12 +135,7 @@ void traceCheckRun(const ir::LoopChain &Chain, const exec::ExecutionPlan &Plan,
                    const codegen::KernelRegistry &Kernels,
                    storage::ConcreteStorage &Store,
                    verify::Diagnostics &Diags) {
-  for (const std::string &Name : Chain.arrayNames())
-    if (Chain.array(Name).Kind == ir::StorageKind::PersistentInput) {
-      std::vector<double> &Buf = Store.spaceOf(Name);
-      for (std::size_t I = 0; I < Buf.size(); ++I)
-        Buf[I] = 0.001 * static_cast<double>((I * 2654435761u) % 1000u);
-    }
+  driver::seedInputs(Chain, Store);
   std::vector<std::vector<double>> Seeded;
   Seeded.reserve(Store.numSpaces());
   for (std::size_t S = 0; S < Store.numSpaces(); ++S)
@@ -282,33 +225,30 @@ void traceCheckRun(const ir::LoopChain &Chain, const exec::ExecutionPlan &Plan,
   }
 }
 
-/// Lowers the scheduled graph to an ExecutionPlan and runs every verifier
-/// family plus the graph-level schedule check. With a non-null TraceChain
-/// a statically-clean plan is additionally executed under the tracer and
-/// its trace validated against the plan's dependence closure.
-verify::Diagnostics verifyGraph(const graph::Graph &G,
-                                const codegen::KernelRegistry &Kernels,
-                                std::int64_t SizeN, bool UseAllocation,
-                                unsigned Widen, bool JitStatic,
-                                const ir::LoopChain *TraceChain = nullptr) {
-  exec::ParamEnv Env{{"N", SizeN}};
-  storage::StoragePlan SPlan =
-      storage::StoragePlan::build(G, UseAllocation, Widen);
-  storage::ConcreteStorage Store(SPlan, Env);
-  codegen::AstPtr Ast = codegen::generate(G);
-  exec::ExecutionPlan Plan = exec::ExecutionPlan::fromAst(G, *Ast, Store, Env);
-  verify::VerifyOptions Opts;
-  Opts.Kernels = &Kernels;
-  verify::PlanVerifier Verifier(Plan, Opts);
-  verify::Diagnostics Diags = Verifier.verify();
-  verify::checkGraphSchedule(G, Diags);
+/// Lowers a scheduled configuration through the shared driver stage and
+/// runs every verifier family plus the graph-level schedule check. With
+/// \p Trace a statically-clean plan is additionally executed under the
+/// tracer and its trace validated against the plan's dependence closure.
+verify::Diagnostics verifyGraph(driver::Scheduled S,
+                                codegen::KernelRegistry Kernels,
+                                std::int64_t SizeN, unsigned Widen,
+                                bool JitStatic, bool Trace) {
+  driver::LowerOptions LOpts;
+  LOpts.Size = SizeN;
+  LOpts.Widen = Widen;
+  auto L = driver::Lowered::lower(std::move(S), std::move(Kernels), LOpts);
+  if (!L)
+    throw support::StatusError(L.takeError());
+  verify::Diagnostics Diags = L->verify();
   if (JitStatic) {
-    verify::Diagnostics KDiags = verify::verifyPlanKernels(Plan, Kernels);
+    verify::Diagnostics KDiags = verify::verifyPlanKernels(L->Plan, L->Kernels);
     for (const verify::Diagnostic &D : KDiags.all())
       Diags.add(verify::Diagnostic(D));
   }
-  if (TraceChain && !Diags.hasErrors())
-    traceCheckRun(*TraceChain, Plan, Kernels, Store, Diags);
+  if (Trace && !Diags.hasErrors()) {
+    storage::ConcreteStorage Store(L->SPlan, L->Env);
+    traceCheckRun(*L->Chain, L->Plan, L->Kernels, Store, Diags);
+  }
   return Diags;
 }
 
@@ -376,15 +316,13 @@ bool sweepChainFile(const std::filesystem::path &Path, std::int64_t SizeN,
   }
   ir::LoopChain Chain = std::move(*Parsed.Chain);
   codegen::KernelRegistry Kernels;
-  assignSyntheticKernels(Chain, Kernels);
+  driver::assignStandInKernels(Chain, Kernels, /*Pure=*/false);
   const std::string Stem = Path.stem().string();
-  const ir::LoopChain *TC = Trace ? &Chain : nullptr;
 
   {
-    graph::Graph G = graph::buildGraph(Chain);
+    driver::Scheduled S(Chain);
     addGuarded(Report, Stem + ":original", [&] {
-      return verifyGraph(G, Kernels, SizeN, /*UseAllocation=*/true, 1,
-                         JitStatic, TC);
+      return verifyGraph(std::move(S), Kernels, SizeN, 1, JitStatic, Trace);
     });
   }
 
@@ -393,30 +331,29 @@ bool sweepChainFile(const std::filesystem::path &Path, std::int64_t SizeN,
   std::string Script;
   if (readFile(ScriptPath, Script)) {
     for (unsigned Widen : {1u, 2u}) {
-      graph::Graph G = graph::buildGraph(Chain);
-      parser::ScriptResult R = parser::runScript(G, Script);
+      driver::Scheduled S(Chain);
+      parser::ScriptResult R = parser::runScript(*S.G, Script);
       if (!R) {
         std::fprintf(stderr, "%s:%u: error: %s\n", ScriptPath.c_str(), R.Line,
                      R.Error.c_str());
         return false;
       }
-      storage::reduceStorage(G);
+      storage::reduceStorage(*S.G);
       std::ostringstream Name;
       Name << Stem << ":script-reduced-widen" << Widen;
       addGuarded(Report, Name.str(), [&] {
-        return verifyGraph(G, Kernels, SizeN, /*UseAllocation=*/true, Widen,
-                           JitStatic, TC);
+        return verifyGraph(std::move(S), Kernels, SizeN, Widen, JitStatic,
+                           Trace);
       });
     }
   }
 
   {
-    graph::Graph G = graph::buildGraph(Chain);
-    (void)graph::autoSchedule(G, {});
-    storage::reduceStorage(G);
+    driver::Scheduled S(Chain);
+    (void)graph::autoSchedule(*S.G, {});
+    storage::reduceStorage(*S.G);
     addGuarded(Report, Stem + ":autoschedule-reduced", [&] {
-      return verifyGraph(G, Kernels, SizeN, /*UseAllocation=*/true, 1,
-                         JitStatic, TC);
+      return verifyGraph(std::move(S), Kernels, SizeN, 1, JitStatic, Trace);
     });
   }
 
@@ -448,28 +385,28 @@ void sweepMiniFluxDiv(bool ThreeD, std::int64_t SizeN, bool Trace,
     ir::LoopChain Chain = ThreeD ? mfd::buildChain3D() : mfd::buildChain2D();
     codegen::KernelRegistry Kernels;
     mfd::registerKernels(Chain, Kernels);
-    graph::Graph G = graph::buildGraph(Chain);
+    driver::Scheduled S(std::move(Chain));
     if (R.Apply)
-      R.Apply(G);
+      R.Apply(*S.G);
     if (R.Reduce)
-      storage::reduceStorage(G);
+      storage::reduceStorage(*S.G);
     std::ostringstream Name;
     Name << Prefix << ":" << R.Name;
     addGuarded(Report, Name.str(), [&] {
-      return verifyGraph(G, Kernels, SizeN, /*UseAllocation=*/true, R.Widen,
-                         JitStatic, Trace ? &Chain : nullptr);
+      return verifyGraph(std::move(S), std::move(Kernels), SizeN, R.Widen,
+                         JitStatic, Trace);
     });
   }
   if (!ThreeD) {
     ir::LoopChain Chain = mfd::buildChain2D();
     codegen::KernelRegistry Kernels;
     mfd::registerKernels(Chain, Kernels);
-    graph::Graph G = graph::buildGraph(Chain);
-    (void)graph::autoSchedule(G, {});
-    storage::reduceStorage(G);
+    driver::Scheduled S(std::move(Chain));
+    (void)graph::autoSchedule(*S.G, {});
+    storage::reduceStorage(*S.G);
     addGuarded(Report, std::string(Prefix) + ":autoschedule-reduced", [&] {
-      return verifyGraph(G, Kernels, SizeN, /*UseAllocation=*/true, 1,
-                         JitStatic, Trace ? &Chain : nullptr);
+      return verifyGraph(std::move(S), std::move(Kernels), SizeN, 1,
+                         JitStatic, Trace);
     });
   }
 }
@@ -499,7 +436,9 @@ int runLint(int argc, char **argv) {
     } else if (Arg == "--jit-static") {
       JitStatic = true;
     } else if (Arg.rfind("--size=", 0) == 0) {
-      SizeN = std::atoll(Arg.c_str() + 7);
+      // The value must be all number: "16x" is a usage error, not 16.
+      if (!parseInt(std::string_view(Arg).substr(7), SizeN))
+        return usage(argv[0]);
       if (SizeN < 2) {
         std::fprintf(stderr, "error: --size must be at least 2\n");
         return 2;

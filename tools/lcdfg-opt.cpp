@@ -62,7 +62,7 @@
 #include "codegen/CPrinter.h"
 #include "codegen/Generator.h"
 #include "codegen/IsccExport.h"
-#include "exec/ExecutionPlan.h"
+#include "driver/Lowering.h"
 #include "exec/PlanRunner.h"
 #include "exec/Recovery.h"
 #include "exec/RowPlan.h"
@@ -72,7 +72,6 @@
 #include "graph/AutoScheduler.h"
 #include "graph/CostModel.h"
 #include "graph/DotExport.h"
-#include "graph/GraphBuilder.h"
 #include "graph/Traffic.h"
 #include "parser/PragmaParser.h"
 #include "parser/PragmaPrinter.h"
@@ -81,17 +80,14 @@
 #include "storage/ReuseDistance.h"
 #include "storage/StorageMap.h"
 #include "support/Status.h"
+#include "support/StringUtils.h"
 #include "verify/KernelVerifier.h"
-#include "verify/PlanVerifier.h"
 
 #include <algorithm>
 #include <array>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
-#include <map>
 #include <set>
 #include <sstream>
 #include <string>
@@ -138,61 +134,6 @@ int usage(const char *Argv0) {
       "  -o <file>           output file (default stdout)\n",
       Argv0);
   return 2;
-}
-
-/// Batched form of the synthetic stand-in body: sum of reads accumulated
-/// into the target, in the same order as the scalar lambda so the two
-/// paths stay bit-identical. One instantiation per read arity (the ABI
-/// fixes the arity per kernel).
-template <int Arity>
-void batchedSum(double *W, const double *const *R, const std::int64_t *S,
-                std::int64_t WS, std::int64_t N) {
-  for (std::int64_t I = 0; I < N; ++I) {
-    double Sum = W[I * WS];
-    for (int J = 0; J < Arity; ++J)
-      Sum += R[J][I * S[J]];
-    W[I * WS] = Sum;
-  }
-}
-
-codegen::BatchedKernel batchedSumForArity(std::size_t Arity) {
-  static constexpr codegen::BatchedKernel Table[] = {
-      batchedSum<0>, batchedSum<1>, batchedSum<2>, batchedSum<3>,
-      batchedSum<4>, batchedSum<5>, batchedSum<6>, batchedSum<7>,
-      batchedSum<8>};
-  return Arity < sizeof(Table) / sizeof(Table[0]) ? Table[Arity] : nullptr;
-}
-
-/// Pure variant for hardened runs: the accumulating body above reads its
-/// own (unwritten) target first, which under NaN-poisoned temporaries is
-/// exactly the read-before-write pattern the guard exists to catch. The
-/// hardened stand-in must define every output point from its reads alone.
-template <int Arity>
-void batchedPureSum(double *W, const double *const *R, const std::int64_t *S,
-                    std::int64_t WS, std::int64_t N) {
-  for (std::int64_t I = 0; I < N; ++I) {
-    double Sum = 0.0;
-    for (int J = 0; J < Arity; ++J)
-      Sum += R[J][I * S[J]];
-    W[I * WS] = Sum;
-  }
-}
-
-codegen::BatchedKernel batchedPureSumForArity(std::size_t Arity) {
-  static constexpr codegen::BatchedKernel Table[] = {
-      batchedPureSum<0>, batchedPureSum<1>, batchedPureSum<2>,
-      batchedPureSum<3>, batchedPureSum<4>, batchedPureSum<5>,
-      batchedPureSum<6>, batchedPureSum<7>, batchedPureSum<8>};
-  return Arity < sizeof(Table) / sizeof(Table[0]) ? Table[Arity] : nullptr;
-}
-
-/// Expression form of the two stand-in bodies: the same left-associated
-/// sum, so the JIT's emitted C adds in the interpreter's order.
-codegen::KernelExpr sumExpr(std::size_t Arity, bool Pure) {
-  codegen::KernelExpr E = Pure ? codegen::lit(0.0) : codegen::current();
-  for (std::size_t J = 0; J < Arity; ++J)
-    E = E + codegen::read(static_cast<unsigned>(J));
-  return E;
 }
 
 /// --shards=N: the sharded multi-process timestepper drill. The chain
@@ -344,6 +285,12 @@ int runTool(int argc, char **argv) {
   std::int64_t MemBudget = 0;
   int Shards = 0;
 
+  // A numeric flag's value must be all number: "16x" is a usage error,
+  // not 16. On success the value is in V.
+  std::int64_t V = 0;
+  auto intValue = [&](const std::string &Arg, std::size_t Skip) {
+    return parseInt(std::string_view(Arg).substr(Skip), V);
+  };
   for (int I = 1; I < argc; ++I) {
     std::string Arg = argv[I];
     if (Arg == "--script" && I + 1 < argc) {
@@ -351,8 +298,10 @@ int runTool(int argc, char **argv) {
     } else if (Arg == "--autoschedule") {
       AutoSchedule = true;
     } else if (Arg.rfind("--autoschedule=", 0) == 0) {
+      if (!intValue(Arg, 15))
+        return usage(argv[0]);
       AutoSchedule = true;
-      Streams = static_cast<unsigned>(std::atoi(Arg.c_str() + 15));
+      Streams = static_cast<unsigned>(V);
     } else if (Arg == "--reduce") {
       Reduce = true;
     } else if (Arg == "--stats") {
@@ -398,21 +347,29 @@ int runTool(int argc, char **argv) {
     } else if (Arg == "--metrics") {
       Metrics = true;
     } else if (Arg.rfind("--size=", 0) == 0) {
-      SizeN = std::atoll(Arg.c_str() + 7);
+      if (!intValue(Arg, 7))
+        return usage(argv[0]);
+      SizeN = V;
       if (SizeN < 1) {
         std::fprintf(stderr, "error: --size must be positive\n");
         return 2;
       }
     } else if (Arg.rfind("--threads=", 0) == 0) {
-      Threads = std::atoi(Arg.c_str() + 10);
+      if (!intValue(Arg, 10))
+        return usage(argv[0]);
+      Threads = static_cast<int>(V);
     } else if (Arg.rfind("--shards=", 0) == 0) {
-      Shards = std::atoi(Arg.c_str() + 9);
+      if (!intValue(Arg, 9))
+        return usage(argv[0]);
+      Shards = static_cast<int>(V);
       if (Shards < 1) {
         std::fprintf(stderr, "error: --shards must be positive\n");
         return 2;
       }
     } else if (Arg.rfind("--mem-budget=", 0) == 0) {
-      MemBudget = std::atoll(Arg.c_str() + 13);
+      if (!intValue(Arg, 13))
+        return usage(argv[0]);
+      MemBudget = V;
       if (MemBudget < 1) {
         std::fprintf(stderr, "error: --mem-budget must be positive\n");
         return 2;
@@ -443,8 +400,8 @@ int runTool(int argc, char **argv) {
                  Parsed.formatted().c_str());
     return 1;
   }
-  ir::LoopChain Chain = std::move(*Parsed.Chain);
-  graph::Graph G = graph::buildGraph(Chain);
+  driver::Scheduled Sched(std::move(*Parsed.Chain));
+  graph::Graph &G = *Sched.G;
 
   if (!ScriptPath.empty()) {
     std::string Script;
@@ -479,78 +436,42 @@ int runTool(int argc, char **argv) {
                    "the recovery report)\n");
       return 2;
     }
-    return runShardsMode(Chain, Shards, Threads, SizeN, ReportJson, Metrics,
-                         OutputPath);
+    return runShardsMode(*Sched.Chain, Shards, Threads, SizeN, ReportJson,
+                         Metrics, OutputPath);
   }
 
   bool VerifyFailed = false, ReportFailed = false, TraceFailed = false;
   const bool Trace = Metrics || !TracePath.empty();
   std::string Output;
   if (Stats || DumpPlan || Verify || Report || Trace) {
-    // Compile the (transformed) schedule to an ExecutionPlan at the
-    // concrete size and, for --stats, execute it with instrumentation.
-    // Parsed chains carry no executable kernels; a synthetic body
-    // (sum of reads accumulated into the target) stands in — timing and
-    // traffic shapes are meaningful regardless of the arithmetic.
-    codegen::KernelRegistry Kernels;
-    std::map<std::size_t, int> SyntheticByArity;
-    auto syntheticId = [&](std::size_t Arity) {
-      auto It = SyntheticByArity.find(Arity);
-      if (It != SyntheticByArity.end())
-        return It->second;
-      int Id =
-          Harden ? Kernels.add(
-                       [](const std::vector<double> &Reads, double) {
-                         double Sum = 0.0;
-                         for (double R : Reads)
-                           Sum += R;
-                         return Sum;
-                       },
-                       batchedPureSumForArity(Arity), sumExpr(Arity, true))
-                 : Kernels.add(
-                       [](const std::vector<double> &Reads, double Current) {
-                         double Sum = Current;
-                         for (double R : Reads)
-                           Sum += R;
-                         return Sum;
-                       },
-                       batchedSumForArity(Arity), sumExpr(Arity, false));
-      SyntheticByArity.emplace(Arity, Id);
-      return Id;
+    // Lower the (transformed) schedule at the concrete size and, for
+    // --stats, execute it with instrumentation. Parsed chains carry no
+    // executable kernels; the driver's sum-of-reads stand-ins fill in —
+    // timing and traffic shapes are meaningful regardless of the
+    // arithmetic.
+    driver::LowerOptions LOpts;
+    LOpts.Size = SizeN;
+    LOpts.Harden = Harden;
+    auto Lowered = driver::Lowered::lower(std::move(Sched), {}, LOpts);
+    if (!Lowered) {
+      std::fprintf(stderr, "error: %s\n",
+                   Lowered.error().toString().c_str());
+      return 1;
+    }
+    const driver::Lowered &L = *Lowered;
+    const exec::ExecutionPlan &Plan = L.Plan;
+    const codegen::KernelRegistry &Kernels = L.Kernels;
+    auto freshStore = [&](const storage::StoragePlan &SP) {
+      storage::ConcreteStorage S(SP, L.Env);
+      L.seedStore(S);
+      return S;
     };
-    for (unsigned N = 0; N < Chain.numNests(); ++N)
-      if (Chain.nest(N).KernelId < 0) {
-        std::size_t Arity = 0;
-        for (const ir::Access &A : Chain.nest(N).Reads)
-          Arity += A.Offsets.size();
-        Chain.nest(N).KernelId = syntheticId(Arity);
-      }
 
-    exec::ParamEnv Env{{"N", SizeN}};
-    storage::StoragePlan SPlan = storage::StoragePlan::build(G);
-    auto seedInputs = [&](storage::ConcreteStorage &S) {
-      for (const std::string &Name : Chain.arrayNames())
-        if (Chain.array(Name).Kind == ir::StorageKind::PersistentInput) {
-          std::vector<double> &Buf = S.spaceOf(Name);
-          for (std::size_t I = 0; I < Buf.size(); ++I)
-            Buf[I] = 0.001 * static_cast<double>((I * 2654435761u) % 1000u);
-        }
-    };
-    storage::ConcreteStorage Store(SPlan, Env);
-    seedInputs(Store);
-
-    codegen::AstPtr Ast = codegen::generate(G);
-    exec::ExecutionPlan Plan = exec::ExecutionPlan::fromAst(G, *Ast, Store,
-                                                            Env);
     std::ostringstream OS;
     if (DumpPlan)
       OS << Plan.dump();
     if (Verify) {
-      verify::VerifyOptions VOpts;
-      VOpts.Kernels = &Kernels;
-      verify::PlanVerifier Verifier(Plan, VOpts);
-      verify::Diagnostics Diags = Verifier.verify();
-      verify::checkGraphSchedule(G, Diags);
+      verify::Diagnostics Diags = L.verify();
       // Whenever the JIT path is selectable, statically validate the
       // emissions it would compile (K codes) alongside the plan-level
       // V codes. Purely symbolic: no engine, no host compiler.
@@ -568,17 +489,17 @@ int runTool(int argc, char **argv) {
       exec::RunOptions Opts;
       Opts.Threads = Threads;
       Opts.CollectStats = true;
+      storage::ConcreteStorage Store = freshStore(L.SPlan);
       exec::PlanStats PS = exec::runPlan(Plan, Kernels, Store, Opts);
       OS << PS.toString();
-      graph::TrafficReport TR = graph::measureTraffic(G, SizeN);
+      graph::TrafficReport TR = graph::measureTraffic(*L.G, SizeN);
       OS << "traffic at N=" << SizeN << ": measured " << PS.totalRead()
          << ", enumerated " << TR.Total << ", model S_R " << TR.ModelTotal
          << ", model accuracy " << TR.modelAccuracy() << "\n";
       // Counters come from the serialized scalar oracle above; wall time
       // for A/B comparisons comes from an uninstrumented run on fresh
       // storage that honors --threads and --batched.
-      storage::ConcreteStorage TimedStore(SPlan, Env);
-      seedInputs(TimedStore);
+      storage::ConcreteStorage TimedStore = freshStore(L.SPlan);
       exec::RunOptions TimedOpts;
       TimedOpts.Threads = Threads;
       TimedOpts.Batched = Batched;
@@ -594,8 +515,7 @@ int runTool(int argc, char **argv) {
       // Dedicated traced run on fresh storage (counters then cover exactly
       // one execution honoring --threads/--batched, diffable against the
       // --stats oracle in the same invocation).
-      storage::ConcreteStorage TraceStore(SPlan, Env);
-      seedInputs(TraceStore);
+      storage::ConcreteStorage TraceStore = freshStore(L.SPlan);
       obs::Tracer &Tracer = obs::Tracer::global();
       Tracer.enable();
       exec::RunOptions TOpts;
@@ -628,17 +548,9 @@ int runTool(int argc, char **argv) {
     }
     if (Report) {
       // The fallback rung runs the untransformed chain's original schedule
-      // against its own storage plan — the transformed plan's store may
-      // have collapsed arrays the fallback still writes in full.
-      graph::Graph RefG = graph::buildGraph(Chain);
-      storage::StoragePlan FbSPlan = storage::StoragePlan::build(RefG);
-      storage::ConcreteStorage FbStore(FbSPlan, Env);
-      seedInputs(FbStore);
-      exec::ExecutionPlan FbPlan =
-          exec::ExecutionPlan::fromChain(Chain, FbStore, Env, &RefG);
-
-      storage::ConcreteStorage ReportStore(SPlan, Env);
-      seedInputs(ReportStore);
+      // against its own storage plan.
+      storage::ConcreteStorage FbStore = freshStore(L.FbSPlan);
+      storage::ConcreteStorage ReportStore = freshStore(L.SPlan);
       exec::RecoverOptions ROpts;
       ROpts.Run.Threads = Threads;
       ROpts.Run.Batched = Batched;
@@ -647,7 +559,7 @@ int runTool(int argc, char **argv) {
       ROpts.Run.Kernels = KernelMode;
       ROpts.StrictVerify = true;
       ROpts.VerifyKernels = &Kernels;
-      ROpts.Fallback = &FbPlan;
+      ROpts.Fallback = &L.FbPlan;
       ROpts.FallbackStore = &FbStore;
       if (!ReportJson) {
         // Per-instruction dispatch breakdown, separating the two refusal
