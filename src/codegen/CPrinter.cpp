@@ -159,50 +159,6 @@ std::string codegen::printC(const graph::Graph &G, const AstNode &Root,
   return P.run(Root);
 }
 
-/// See the header: one specialized segment body per (expression, shape)
-/// class. The function matches the BatchedKernel ABI exactly, so the
-/// address dlsym returns casts straight to codegen::BatchedKernel.
-std::string codegen::printSegmentKernel(const KernelExpr &Body,
-                                        const SegmentKernelSig &Sig,
-                                        const std::string &Symbol) {
-  const std::size_t Arity = Sig.ReadStrides.size();
-  bool Aliased = false;
-  for (std::size_t J = 0; J < Arity; ++J)
-    if (J < Sig.ReadAliasesWrite.size() && Sig.ReadAliasesWrite[J])
-      Aliased = true;
-
-  std::ostringstream OS;
-  OS << "/* lcdfg JIT segment kernel: " << Body.text() << " */\n"
-     << "#include <stdint.h>\n\n"
-     << "void " << Symbol << "(double *" << (Aliased ? "" : "restrict ")
-     << "W, const double *const *R,\n"
-     << "    const int64_t *S, int64_t WS, int64_t N) {\n";
-  for (std::size_t J = 0; J < Arity; ++J) {
-    const bool ThisAliases =
-        J < Sig.ReadAliasesWrite.size() && Sig.ReadAliasesWrite[J];
-    OS << "  const double *" << (Aliased || ThisAliases ? "" : "restrict ")
-       << "R" << J << " = R[" << J << "];\n";
-  }
-  // The runtime stride operands are superseded by the baked literals.
-  OS << "  (void)R;\n  (void)S;\n  (void)WS;\n";
-  if (!Aliased)
-    OS << "#pragma omp simd\n";
-  OS << "  for (int64_t I = 0; I < N; ++I)\n";
-  const std::string Current =
-      "W[I * " + std::to_string(Sig.WriteStride) + "]";
-  const std::string Expr = Body.render(
-      [&Sig](unsigned J) {
-        const std::int64_t Stride =
-            J < Sig.ReadStrides.size() ? Sig.ReadStrides[J] : 0;
-        return "R" + std::to_string(J) + "[I * " + std::to_string(Stride) +
-               "]";
-      },
-      Current);
-  OS << "    " << Current << " = " << Expr << ";\n"
-     << "}\n";
-  return OS.str();
-}
-
 namespace {
 
 std::string i64(std::int64_t V) { return std::to_string(V) + "LL"; }

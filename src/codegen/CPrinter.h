@@ -41,29 +41,6 @@ struct PrintOptions {
 std::string printC(const graph::Graph &G, const AstNode &Root,
                    const PrintOptions &Options = {});
 
-/// One RowPlan segment class for the JIT backend: the per-element strides
-/// of a statement's streams, baked as compile-time constants into the
-/// emitted body, plus which read streams alias the write stream's space
-/// (those forbid `restrict`/`#pragma omp simd` — self-referencing stencils
-/// must run ascending and in order).
-struct SegmentKernelSig {
-  std::int64_t WriteStride = 1;
-  std::vector<std::int64_t> ReadStrides;
-  /// Parallel to ReadStrides: true when read J walks the same space as the
-  /// write. current() reads through the write pointer itself and is always
-  /// safe; this flags *other* operand streams into the written space.
-  std::vector<bool> ReadAliasesWrite;
-};
-
-/// Emits one freestanding C function with the BatchedKernel ABI
-/// (see codegen/Interpreter.h), named \p Symbol, specialized for \p Sig:
-/// stride operands become literals, space pointers are `restrict`-qualified
-/// and the contiguous inner run carries `#pragma omp simd` unless a read
-/// stream aliases the write. \p Body supplies the per-element arithmetic.
-std::string printSegmentKernel(const KernelExpr &Body,
-                               const SegmentKernelSig &Sig,
-                               const std::string &Symbol);
-
 /// One whole instruction row as a JIT compilation unit: every statement of
 /// the RowPlan with its inner bounds, stream strides, modulo window sizes
 /// and the plan's conflict cap baked in as compile-time constants. The
@@ -111,9 +88,10 @@ using RowKernel = void (*)(double *const *Spaces, const std::int64_t *Base,
 
 /// Emits one freestanding C function with the RowKernel ABI, named
 /// \p Symbol: the full segment walk over [RowLo, RowHi] for the admitted
-/// statements of \p Desc. Same emission rules as printSegmentKernel per
-/// statement body: hexfloat constants, restrict + `#pragma omp simd`
-/// unless a read aliases the write.
+/// statements of \p Desc. Per statement body: hexfloat constants,
+/// literal strides, and restrict + `#pragma omp simd` unless a read
+/// aliases the write (self-referencing stencils must run ascending and in
+/// order).
 std::string printRowKernel(const RowKernelDesc &Desc,
                            const std::string &Symbol);
 

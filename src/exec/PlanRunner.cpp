@@ -612,10 +612,11 @@ PlanStats exec::runPlan(const ExecutionPlan &Plan,
   std::vector<std::optional<RowPlan>> Rows;
   const std::optional<RowPlan> *RowsPtr = nullptr;
   if (Opts.Batched && !Opts.CollectStats) {
-    // Kernel provenance: under Jit mode each statement body is swapped for
-    // a shape-specialized compiled kernel where the engine can produce
-    // one; unspecializable statements keep the interpreted body (counted
-    // as exec.jit.fallbacks so --metrics shows partial downgrades).
+    // Kernel provenance: under Jit mode each instruction runs one fused
+    // row kernel where the engine can produce it; otherwise its statements
+    // keep their interpreted bodies and count as exec.jit.fallbacks, so
+    // --metrics shows downgrades. An instruction whose rows are all empty
+    // runs nothing and falls back from nothing.
     jit::Engine *Jit = nullptr;
     if (effectiveKernelMode(Opts.Kernels) == KernelMode::Jit)
       Jit = Opts.Jit ? Opts.Jit : &jit::Engine::global();
@@ -623,7 +624,7 @@ PlanStats exec::runPlan(const ExecutionPlan &Plan,
     Rows.reserve(Plan.Instrs.size());
     for (const NestInstr &I : Plan.Instrs) {
       RowAnalysis RA = RowPlan::analyze(I, Kernels, Jit);
-      if (Jit && RA.Plan)
+      if (Jit && RA.Plan && RA.Jit != JitRefusal::NoInnerSpan)
         Tr.add(obs::Counter::JitFallbacks,
                static_cast<std::int64_t>(RA.Plan->Stmts.size()) - RA.JitStmts);
       Rows.push_back(std::move(RA.Plan));

@@ -155,6 +155,10 @@ std::string_view exec::jitRefusalName(JitRefusal J) {
     return "specialized";
   case JitRefusal::NoKernelExpr:
     return "no-kernel-expr";
+  case JitRefusal::TooManyStmts:
+    return "over-64-stmts";
+  case JitRefusal::NoInnerSpan:
+    return "no-inner-span";
   case JitRefusal::EngineUnavailable:
     return "engine-unavailable";
   case JitRefusal::CompileFailed:
@@ -165,37 +169,45 @@ std::string_view exec::jitRefusalName(JitRefusal J) {
   return "unknown";
 }
 
-codegen::SegmentKernelSig exec::rowSegmentSig(const RowPlan &Plan,
-                                              std::size_t SI) {
-  const RowStmt &RS = Plan.Stmts[SI];
-  codegen::SegmentKernelSig Sig;
-  Sig.WriteStride = RS.Write.InnerStride;
-  Sig.ReadStrides.reserve(RS.Reads.size());
-  Sig.ReadAliasesWrite.reserve(RS.Reads.size());
-  for (const RowStream &R : RS.Reads) {
-    Sig.ReadStrides.push_back(R.InnerStride);
-    Sig.ReadAliasesWrite.push_back(R.Space == RS.Write.Space);
+namespace {
+
+/// Why \p Plan has no fused-row form (Specialized when it has one), with
+/// the first offending statement in \p Detail. Checked in the order
+/// --report has always named them: expression forms, the admission mask,
+/// then whether any row carries work at all.
+JitRefusal rowFormRefusal(const RowPlan &Plan, const NestInstr &Instr,
+                          const codegen::KernelRegistry &Kernels,
+                          std::string &Detail) {
+  const std::size_t NS = Plan.Stmts.size();
+  for (std::size_t SI = 0; SI < NS; ++SI) {
+    const codegen::KernelExpr *E = Kernels.expr(Instr.Stmts[SI].KernelId);
+    if (!E || E->maxRead() >= static_cast<int>(Plan.Stmts[SI].Reads.size())) {
+      Detail = "kernel " + std::to_string(Instr.Stmts[SI].KernelId) +
+               " has no expression form";
+      return JitRefusal::NoKernelExpr;
+    }
   }
-  return Sig;
+  if (NS > 64) {
+    Detail = std::to_string(NS) +
+             " statements exceed the row kernel's 64-bit admission mask";
+    return JitRefusal::TooManyStmts;
+  }
+  for (const RowStmt &RS : Plan.Stmts)
+    if (RS.InnerLo <= RS.InnerHi)
+      return JitRefusal::Specialized;
+  return JitRefusal::NoInnerSpan;
 }
+
+} // namespace
 
 std::optional<codegen::RowKernelDesc>
 exec::rowKernelDesc(const RowPlan &Plan, const NestInstr &Instr,
                     const codegen::KernelRegistry &Kernels) {
   const std::size_t NS = Plan.Stmts.size();
-  if (NS == 0 || NS > 64 || Instr.Stmts.size() != NS)
+  std::string Detail;
+  if (NS == 0 || Instr.Stmts.size() != NS ||
+      rowFormRefusal(Plan, Instr, Kernels, Detail) != JitRefusal::Specialized)
     return std::nullopt;
-  bool AnySpan = false;
-  for (const RowStmt &RS : Plan.Stmts)
-    if (RS.InnerLo <= RS.InnerHi)
-      AnySpan = true;
-  if (!AnySpan)
-    return std::nullopt;
-  for (std::size_t SI = 0; SI < NS; ++SI) {
-    const codegen::KernelExpr *E = Kernels.expr(Instr.Stmts[SI].KernelId);
-    if (!E || E->maxRead() >= static_cast<int>(Plan.Stmts[SI].Reads.size()))
-      return std::nullopt;
-  }
   codegen::RowKernelDesc Desc;
   Desc.MaxSegment = Plan.MaxSegment;
   Desc.Stmts.reserve(NS);
@@ -289,103 +301,31 @@ RowAnalysis RowPlan::analyze(const NestInstr &Instr,
   if (!Jit)
     return A;
 
-  // JIT specialization: swap each statement's interpreted batched body for
-  // a shape-specialized compiled one. Strictly best-effort — any statement
-  // that cannot be specialized keeps its interpreted body, and the plan
-  // stays engaged either way (the recovery ladder reports the downgrade as
-  // L008, but execution itself never fails here).
-  A.Jit = JitRefusal::Specialized;
-  auto Note = [&A](JitRefusal Why, std::string Detail) {
-    // First failure wins: a fully-specialized outcome degrades to the
-    // earliest reason, which is what --report surfaces.
-    if (A.Jit == JitRefusal::Specialized) {
-      A.Jit = Why;
-      A.JitDetail = std::move(Detail);
-    }
-  };
-  for (std::size_t SI = 0; SI < Instr.Stmts.size(); ++SI) {
-    const StmtRecord &S = Instr.Stmts[SI];
-    RowStmt &RS = A.Plan->Stmts[SI];
-    const codegen::KernelExpr *E = Kernels.expr(S.KernelId);
-    if (!E || E->maxRead() >= static_cast<int>(RS.Reads.size())) {
-      Note(JitRefusal::NoKernelExpr,
-           "kernel " + std::to_string(S.KernelId) + " has no expression form");
-      continue;
-    }
-    const codegen::SegmentKernelSig Sig = rowSegmentSig(*A.Plan, SI);
-    // Translation validation gate: the engine is never handed an emission
-    // the static verifier cannot prove faithful to the plan. The jitval
-    // fault site forces a rejection so CI can exercise this path without
-    // needing a genuinely broken emission.
-    std::string RejectWhy;
-    bool Rejected = FaultInjector::global().shouldFire(FaultSite::JitValidate);
-    if (Rejected) {
-      RejectWhy = "fault-injected validation rejection";
-    } else {
-      verify::KernelVerifyOptions VO;
-      VO.Budget = std::int64_t{1} << 15;
-      verify::KernelVerifier KV(Instr, *A.Plan, Kernels, VO);
-      verify::Diagnostics VD;
-      KV.verifySegmentKernel(
-          SI, codegen::printSegmentKernel(*E, Sig, "lcdfg_static_check"), VD);
-      if (VD.hasErrors()) {
-        Rejected = true;
-        RejectWhy = VD.all().front().toString();
-      }
-    }
-    if (Rejected) {
-      Note(JitRefusal::ValidationRejected,
-           "statement " + std::to_string(SI) + ": " + RejectWhy);
-      continue;
-    }
-    auto K = Jit->kernel(*E, Sig);
-    if (!K) {
-      const bool Dead =
-          K.error().code() == support::ErrorCode::JitUnavailable &&
-          !Jit->available();
-      Note(Dead ? JitRefusal::EngineUnavailable : JitRefusal::CompileFailed,
-           K.error().message());
-      if (Dead)
-        break; // Every remaining statement would fail the same way.
-      continue;
-    }
-    RS.Body = *K;
-    ++A.JitStmts;
-  }
-
-  // Fused whole-row kernel: one compiled call per row covering every
-  // statement. The emitted function is the segment walker itself with the
-  // bounds, strides, modulo sizes and the conflict cap folded to constants
-  // (codegen::printRowKernel), so it chunks and interleaves exactly as the
-  // interpreted walk does — no additional reorder proof is needed; the
-  // MaxSegment cap established above carries over verbatim. What moves
-  // into compiled code is the cost: per-statement kernel dispatch, read-
-  // pointer setup, and the per-row wrap divisions. Only attempted when
-  // every statement specialized (a row kernel with interpreted bodies
-  // would re-enter the dispatch it exists to remove); failure at any
-  // point silently keeps the per-statement bodies.
-  const std::size_t NS = A.Plan->Stmts.size();
-  if (A.Jit != JitRefusal::Specialized ||
-      A.JitStmts != static_cast<int>(NS) || NS > 64)
+  // JIT specialization: the whole instruction becomes one fused row
+  // walker (codegen::printRowKernel) — RowPlan::run's segment walker with
+  // the bounds, strides, modulo sizes and the conflict cap folded to
+  // constants, so it chunks and interleaves exactly as the interpreted
+  // walk does and the MaxSegment proof above carries over verbatim.
+  // Strictly best-effort and all-or-nothing: any refusal keeps every
+  // statement on its interpreted batched body and the plan stays engaged
+  // (the recovery ladder reports real failures as L008, but execution
+  // itself never fails here).
+  A.Jit = rowFormRefusal(*A.Plan, Instr, Kernels, A.JitDetail);
+  if (A.Jit != JitRefusal::Specialized)
     return A;
-  bool AnySpan = false;
-  for (const RowStmt &RS : A.Plan->Stmts)
-    if (RS.InnerLo <= RS.InnerHi)
-      AnySpan = true;
-  if (!AnySpan)
-    return A;
-
-  std::optional<codegen::RowKernelDesc> Desc =
+  const std::optional<codegen::RowKernelDesc> Desc =
       rowKernelDesc(*A.Plan, Instr, Kernels);
-  if (!Desc)
-    return A;
-  // Same gate as the per-statement kernels: the fused walker's emission
-  // must symbolically replay the interpreted walk before the engine may
-  // compile it. Rejection keeps the per-statement bodies (already
-  // validated above) — the plan stays engaged.
+  // Translation validation gate: the engine is never handed an emission
+  // the static verifier cannot prove faithful to the plan. The jitval
+  // fault site forces a rejection so CI can exercise this path without
+  // needing a genuinely broken emission.
+  auto KeepInterpreted = [&A](JitRefusal Why, std::string Detail) {
+    A.Jit = Why;
+    A.JitDetail = std::move(Detail);
+  };
   if (FaultInjector::global().shouldFire(FaultSite::JitValidate)) {
-    Note(JitRefusal::ValidationRejected,
-         "row kernel: fault-injected validation rejection");
+    KeepInterpreted(JitRefusal::ValidationRejected,
+                    "row kernel: fault-injected validation rejection");
     return A;
   }
   verify::KernelVerifyOptions VO;
@@ -394,14 +334,21 @@ RowAnalysis RowPlan::analyze(const NestInstr &Instr,
   verify::Diagnostics VD;
   KV.verifyRowKernel(codegen::printRowKernel(*Desc, "lcdfg_static_row"), VD);
   if (VD.hasErrors()) {
-    Note(JitRefusal::ValidationRejected,
-         "row kernel: " + VD.all().front().toString());
+    KeepInterpreted(JitRefusal::ValidationRejected,
+                    "row kernel: " + VD.all().front().toString());
     return A;
   }
-  if (auto RK = Jit->rowKernel(*Desc)) {
-    A.Plan->Row = *RK;
-    A.FusedRow = true;
+  auto RK = Jit->rowKernel(*Desc);
+  if (!RK) {
+    const bool Dead = RK.error().code() == support::ErrorCode::JitUnavailable &&
+                      !Jit->available();
+    KeepInterpreted(Dead ? JitRefusal::EngineUnavailable
+                         : JitRefusal::CompileFailed,
+                    RK.error().message());
+    return A;
   }
+  A.Plan->Row = *RK;
+  A.JitStmts = static_cast<int>(A.Plan->Stmts.size());
   return A;
 }
 

@@ -102,13 +102,16 @@ enum class RowRefusal {
 /// so "JIT-ineligible" no longer masquerades as "batched-ineligible".
 enum class JitRefusal {
   NotRequested,      ///< analyze() ran without a JIT engine.
-  Specialized,       ///< Every eligible statement got a JIT body.
+  Specialized,       ///< The plan runs a fused row kernel (RowPlan::Row).
   NoKernelExpr,      ///< A kernel carries no expression form (opaque).
+  TooManyStmts,      ///< Over 64 statements: past the admission bitmask.
+  NoInnerSpan,       ///< Every statement's inner span is empty: no row
+                     ///  ever runs, so there is nothing to specialize.
   EngineUnavailable, ///< No working host compiler / cache (E017 probe).
-  CompileFailed,     ///< The host compiler rejected an emitted body.
+  CompileFailed,     ///< The host compiler rejected the emitted walker.
   /// The static translation validator (verify::KernelVerifier) could not
   /// prove the emission faithful to the plan; the kernel was never handed
-  /// to the engine and the statement keeps its interpreted body.
+  /// to the engine and the instruction keeps its interpreted bodies.
   ValidationRejected
 };
 
@@ -143,8 +146,8 @@ public:
   std::int64_t MaxSegment = std::numeric_limits<std::int64_t>::max();
   /// Fused whole-row JIT kernel, or null. When set, run() dispatches one
   /// compiled call per row (admission mask, row bounds, pre-wrap base
-  /// arena) instead of walking segments through per-statement kernel
-  /// calls. The compiled function is this plan's segment walker with all
+  /// arena) instead of walking segments through the interpreted batched
+  /// bodies. The compiled function is this plan's segment walker with all
   /// shape constants (including MaxSegment) baked in — same chunking and
   /// statement interleave, so results are bit-identical by construction.
   codegen::RowKernel Row = nullptr;
@@ -153,15 +156,15 @@ public:
   /// when the instruction must stay on the scalar path: external tasks,
   /// zero loop levels, a statement kernel without a batched body, or a
   /// statement interleaving whose reordering cannot be proven safe.
-  /// \p Jit, when non-null, replaces each statement's interpreted batched
-  /// body with a shape-specialized compiled one where possible; any JIT
-  /// failure silently keeps the interpreted body (never a hard error).
+  /// \p Jit, when non-null, compiles the whole instruction into one fused
+  /// row kernel where possible; any JIT failure silently keeps the
+  /// interpreted bodies (never a hard error).
   static std::optional<RowPlan> compile(const NestInstr &Instr,
                                         const codegen::KernelRegistry &Kernels,
                                         jit::Engine *Jit = nullptr);
 
   /// Like compile(), but also reports why an instruction stayed scalar
-  /// and, with \p Jit, how specialization went per statement.
+  /// and, with \p Jit, why it did or did not get a row kernel.
   static RowAnalysis analyze(const NestInstr &Instr,
                              const codegen::KernelRegistry &Kernels,
                              jit::Engine *Jit = nullptr);
@@ -175,13 +178,6 @@ public:
            std::int64_t &RawReads, RowRunCounters *Counters = nullptr) const;
 };
 
-/// The JIT segment-kernel signature analyze() requests for statement \p SI
-/// of \p Plan: literal strides plus which reads walk the written space.
-/// Exported so the static translation validator can re-derive exactly what
-/// the engine would be asked to compile without constructing an engine.
-/// \p SI must be a valid statement index.
-codegen::SegmentKernelSig rowSegmentSig(const RowPlan &Plan, std::size_t SI);
-
 /// The fused row-walker descriptor analyze() would hand jit::Engine for
 /// \p Plan, or std::nullopt when the instruction has no fused-row form: a
 /// kernel without an expression body, more than 64 statements, a statement
@@ -194,21 +190,18 @@ rowKernelDesc(const RowPlan &Plan, const NestInstr &Instr,
 
 /// Result of the row-batching compilation attempt: the plan when it
 /// succeeded, and the first refusal reason when it did not. The Jit
-/// fields report the specialization dimension (see JitRefusal); a partial
-/// outcome keeps Jit at the first failure kind while JitStmts counts the
-/// statements that did get compiled bodies.
+/// fields report the specialization dimension (see JitRefusal), which is
+/// all-or-nothing: either the plan carries a fused row kernel or every
+/// statement keeps its interpreted body.
 struct RowAnalysis {
   std::optional<RowPlan> Plan;
   RowRefusal Refusal = RowRefusal::None;
   JitRefusal Jit = JitRefusal::NotRequested;
-  /// Detail of the first JIT failure ("" when none).
+  /// Detail of the JIT refusal ("" when none).
   std::string JitDetail;
-  /// Statements whose Body is a JIT-specialized kernel.
+  /// Statements that run compiled code: the statement count exactly when
+  /// Plan->Row is set, else 0.
   int JitStmts = 0;
-  /// True when the plan additionally carries a fused whole-row kernel
-  /// (RowPlan::Row): every statement specialized and the fused walker
-  /// compiled.
-  bool FusedRow = false;
 };
 
 } // namespace exec

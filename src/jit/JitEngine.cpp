@@ -1,4 +1,4 @@
-//===- jit/JitEngine.cpp - Host-compiler segment-kernel backend -----------===//
+//===- jit/JitEngine.cpp - Host-compiler row-kernel backend ---------------===//
 //
 // Part of the lcdfg project: a reproduction of "Transforming Loop Chains via
 // Macro Dataflow Graphs" (CGO 2018).
@@ -189,9 +189,9 @@ support::Status Engine::probe() {
   Probed = true;
   resolveVersionLocked();
   // The key prefix folds in everything environmental that shapes compiled
-  // objects; per-request keys extend it with the (expression, shape)
+  // objects; per-request keys extend it with the row descriptor's
   // structural hash. MarchFlag is settled below before the first request
-  // can observe KeyBase (kernel() probes before keying).
+  // can observe KeyBase (rowKernel() probes before keying).
   auto SealKeyBase = [&] {
     KeyBase = fnv1a(AbiTag);
     KeyBase = fnv1a(Opts.Compiler, fnv1a("\x1f", KeyBase));
@@ -331,40 +331,6 @@ Engine::fetchLocked(std::uint64_t Key,
   return *K;
 }
 
-support::Expected<codegen::BatchedKernel>
-Engine::kernel(const codegen::KernelExpr &Body,
-               const codegen::SegmentKernelSig &Sig) {
-  std::lock_guard<std::mutex> Lock(Mu);
-  if (support::Status S = probe(); !S) {
-    ++Tally.Failures;
-    return S;
-  }
-
-  // The cache key covers everything that shapes the object: the sealed
-  // environmental prefix (ABI tag, compiler path + version line, the full
-  // flag set) extended with the structural hash of the expression and the
-  // segment shape — which together fully determine the emitted source.
-  // Hashing structure instead of rendered text keeps repeat lookups (one
-  // per statement per run) free of string building.
-  std::uint64_t Key =
-      fnvU64(KeyBase, static_cast<std::uint64_t>(Sig.WriteStride));
-  Key = fnvU64(Key, Sig.ReadStrides.size());
-  for (std::size_t J = 0; J < Sig.ReadStrides.size(); ++J) {
-    Key = fnvU64(Key, static_cast<std::uint64_t>(Sig.ReadStrides[J]));
-    Key = fnvU64(Key, J < Sig.ReadAliasesWrite.size() && Sig.ReadAliasesWrite[J]
-                          ? 1
-                          : 0);
-  }
-  Key = Body.hash(Key);
-
-  auto R = fetchLocked(Key, [&Body, &Sig](const std::string &Symbol) {
-    return codegen::printSegmentKernel(Body, Sig, Symbol);
-  });
-  if (!R)
-    return R.takeError();
-  return reinterpret_cast<codegen::BatchedKernel>(*R);
-}
-
 support::Expected<codegen::RowKernel>
 Engine::rowKernel(const codegen::RowKernelDesc &Desc) {
   std::lock_guard<std::mutex> Lock(Mu);
@@ -373,10 +339,14 @@ Engine::rowKernel(const codegen::RowKernelDesc &Desc) {
     return S;
   }
 
-  // Row-kernel keys get their own tag so a single-statement row class can
-  // never collide with the plain segment class of the same expression.
-  // The tag doubles as the fused-walker emission version: bump it whenever
-  // printRowKernel's output or the RowKernel ABI changes.
+  // The cache key covers everything that shapes the object: the sealed
+  // environmental prefix (ABI tag, compiler path + version line, the full
+  // flag set) extended with the structural hash of every statement's
+  // expression and stream shape — which together fully determine the
+  // emitted source. Hashing structure instead of rendered text keeps
+  // repeat lookups free of string building. The tag is the fused-walker
+  // emission version: bump it whenever printRowKernel's output or the
+  // RowKernel ABI changes.
   std::uint64_t Key = fnvU64(KeyBase, 0x726f777732ULL); // "roww2"
   Key = fnvU64(Key, Desc.Stmts.size());
   Key = fnvU64(Key, static_cast<std::uint64_t>(Desc.MaxSegment));

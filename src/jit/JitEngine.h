@@ -1,4 +1,4 @@
-//===- jit/JitEngine.h - Host-compiler segment-kernel backend ---*- C++ -*-===//
+//===- jit/JitEngine.h - Host-compiler row-kernel backend -------*- C++ -*-===//
 //
 // Part of the lcdfg project: a reproduction of "Transforming Loop Chains via
 // Macro Dataflow Graphs" (CGO 2018).
@@ -6,14 +6,14 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Compiles RowPlan segment classes to specialized shared objects at run
-/// time. For each (KernelExpr, SegmentKernelSig) pair the engine emits one
-/// C function via codegen::printSegmentKernel, invokes the host compiler
-/// (`cc` by default) to build a `.so`, dlopens it, and hands back the
-/// resulting codegen::BatchedKernel. Objects are cached on disk keyed by
-/// (ABI version, compiler identity, flags, source), so repeat runs skip
-/// compilation entirely; an in-memory map on top makes repeat requests
-/// within one process a hash lookup.
+/// Compiles RowPlan instructions to specialized shared objects at run
+/// time. For each codegen::RowKernelDesc the engine emits one fused row
+/// walker via codegen::printRowKernel, invokes the host compiler (`cc` by
+/// default) to build a `.so`, dlopens it, and hands back the resulting
+/// codegen::RowKernel. Objects are cached on disk keyed by (ABI version,
+/// compiler identity, flags, descriptor), so repeat runs skip compilation
+/// entirely; an in-memory map on top makes repeat requests within one
+/// process a hash lookup.
 ///
 /// Every failure mode — no compiler, unwritable cache, compile error,
 /// corrupt object — surfaces as an E017 Expected error, never a crash: the
@@ -33,7 +33,6 @@
 #define LCDFG_JIT_JITENGINE_H
 
 #include "codegen/CPrinter.h"
-#include "codegen/Interpreter.h"
 #include "support/Status.h"
 
 #include <cstdint>
@@ -85,14 +84,9 @@ public:
   /// Why available() is false ("" while it is true).
   std::string unavailableReason();
 
-  /// The specialized batched body for \p Body over \p Sig, compiling at
-  /// most once per (expression, shape, flags) class. E017 on any failure.
-  support::Expected<codegen::BatchedKernel>
-  kernel(const codegen::KernelExpr &Body, const codegen::SegmentKernelSig &Sig);
-
   /// The fused whole-row kernel for \p Desc (codegen::printRowKernel),
-  /// compiling at most once per (statement set, shape, flags) class. Same
-  /// cache, counters and E017 semantics as kernel().
+  /// compiling at most once per (statement set, shape, flags) class. E017
+  /// on any failure.
   support::Expected<codegen::RowKernel>
   rowKernel(const codegen::RowKernelDesc &Desc);
 
@@ -112,9 +106,8 @@ public:
 
 private:
   /// Cache-or-compile under Mu: in-memory map, then the on-disk object,
-  /// then \p Render + host compiler. Both public kernel entry points reduce
-  /// to this with their own key recipe and emitter; the returned pointer is
-  /// the raw dlsym result, cast by the caller to its ABI.
+  /// then \p Render + host compiler. The returned pointer is the raw dlsym
+  /// result, cast by the caller to its ABI.
   support::Expected<void *>
   fetchLocked(std::uint64_t Key,
               const std::function<std::string(const std::string &)> &Render);

@@ -75,13 +75,15 @@ enum class Counter : unsigned {
   SchedPeakLive,   ///< exec.sched.live.peak: high-water mark of live
                    ///  temporary bytes under the list scheduler (recorded
                    ///  once per run, not summed per worker).
-  JitCompiled,     ///< exec.jit.compiled: segment kernels compiled by the
+  JitCompiled,     ///< exec.jit.compiled: row kernels compiled by the
                    ///  host compiler (disk-cache misses).
-  JitCacheHits,    ///< exec.jit.cache.hits: segment-kernel requests served
+  JitCacheHits,    ///< exec.jit.cache.hits: row-kernel requests served
                    ///  from the in-memory or on-disk object cache.
   JitFallbacks,    ///< exec.jit.fallbacks: statements that requested JIT
                    ///  specialization but ran the interpreted batched body
-                   ///  (no expression form, compiler unavailable, or a
+                   ///  because their instruction got no row kernel (no
+                   ///  expression form, over 64 statements, compiler
+                   ///  unavailable, a validation rejection, or a
                    ///  compile/load failure).
   ShardExchanges,  ///< rt.shard.exchanges: completed cross-process halo
                    ///  exchange phases (one per worker per step), as

@@ -68,7 +68,7 @@ enum class ErrorCode {
   MemBudgetInfeasible, ///< E016: live-temporary budget cannot admit the
                        ///  plan (a single task exceeds it, or the
                        ///  scheduler wedged with only over-budget tasks).
-  JitUnavailable,    ///< E017: segment-kernel JIT cannot compile or load
+  JitUnavailable,    ///< E017: row-kernel JIT cannot compile or load
                      ///  (no host compiler, cache dir unwritable, dlopen
                      ///  failure). Always recoverable: the ladder falls
                      ///  back to the interpreted batched path (L008).

@@ -106,6 +106,16 @@ bool lcdfg::parseInt(std::string_view S, std::int64_t &Out) {
   return true;
 }
 
+bool lcdfg::parseIntFlag(std::string_view Arg, std::string_view Prefix,
+                         std::int64_t Lo, std::int64_t Hi, std::int64_t &Out) {
+  std::int64_t V = 0;
+  if (Arg.substr(0, Prefix.size()) != Prefix ||
+      !parseInt(Arg.substr(Prefix.size()), V) || V < Lo || V > Hi)
+    return false;
+  Out = V;
+  return true;
+}
+
 bool lcdfg::parseDouble(std::string_view S, double &Out) {
   double V = 0.0;
   auto [End, Err] = std::from_chars(S.data(), S.data() + S.size(), V);

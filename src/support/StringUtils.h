@@ -51,6 +51,13 @@ std::string jsonEscape(std::string_view S);
 bool parseInt(std::string_view S, std::int64_t &Out);
 bool parseDouble(std::string_view S, double &Out);
 
+/// True when \p Arg is \p Prefix followed by a whole integer (parseInt) in
+/// [\p Lo, \p Hi], stored in \p Out. A command-line flag whose value its
+/// setting cannot hold ("--port=4294967297") then matches no flag at all,
+/// so the tool's usage error catches it.
+bool parseIntFlag(std::string_view Arg, std::string_view Prefix,
+                  std::int64_t Lo, std::int64_t Hi, std::int64_t &Out);
+
 } // namespace lcdfg
 
 #endif // LCDFG_SUPPORT_STRINGUTILS_H

@@ -145,55 +145,6 @@ BodyClaims scanBody(const std::string &Rhs, std::size_t Arity) {
   return B;
 }
 
-/// Claims parsed from a printSegmentKernel emission.
-struct SegmentClaims {
-  bool Ok = false;
-  std::string Why;
-  bool Simd = false;
-  bool RestrictW = false;
-  std::vector<char> RestrictR;
-  std::vector<char> ReadDeclared;
-  std::int64_t WriteStride = 0;
-  BodyClaims Body;
-};
-
-SegmentClaims parseSegmentText(const std::string &T, std::size_t Arity) {
-  SegmentClaims C;
-  C.RestrictR.assign(Arity, 0);
-  C.ReadDeclared.assign(Arity, 0);
-  C.Simd = T.find("#pragma omp simd") != std::string::npos;
-  C.RestrictW = T.find("double *restrict W") != std::string::npos;
-  for (std::size_t J = 0; J < Arity; ++J) {
-    const std::string Tail =
-        "R" + std::to_string(J) + " = R[" + std::to_string(J) + "];";
-    if (T.find("const double *restrict " + Tail) != std::string::npos) {
-      C.ReadDeclared[J] = 1;
-      C.RestrictR[J] = 1;
-    } else if (T.find("const double *" + Tail) != std::string::npos) {
-      C.ReadDeclared[J] = 1;
-    }
-  }
-  const std::size_t P = T.find("\n    W[I * ");
-  if (P == std::string::npos) {
-    C.Why = "no statement body found";
-    return C;
-  }
-  std::size_t Q = P + 11;
-  if (!parseIntAt(T, Q, C.WriteStride) || !startsAt(T, Q, "] = ")) {
-    C.Why = "unparseable store expression";
-    return C;
-  }
-  Q += 4;
-  const std::size_t End = T.find(';', Q);
-  if (End == std::string::npos) {
-    C.Why = "unterminated statement body";
-    return C;
-  }
-  C.Body = scanBody(T.substr(Q, End - Q), Arity);
-  C.Ok = true;
-  return C;
-}
-
 /// Claims for one cursor of the fused walker: the setup line, the optional
 /// setup wrap and countdown declaration, and the advance / wrap-advance
 /// lines of the exec pass. The countdown *initialization formula* is the
@@ -409,124 +360,6 @@ KernelVerifier::KernelVerifier(const exec::NestInstr &Instr,
                                const codegen::KernelRegistry &Kernels,
                                KernelVerifyOptions Opts)
     : Instr(Instr), Plan(Plan), Kernels(Kernels), Opts(Opts) {}
-
-void KernelVerifier::verifySegmentKernel(std::size_t SI,
-                                         const std::string &Text,
-                                         Diagnostics &Diags) {
-  auto Mk = [&](const char *Check, std::string Msg) {
-    Diagnostic D;
-    D.CheckId = Check;
-    D.Message = std::move(Msg);
-    D.Instr = Opts.Instr;
-    return D;
-  };
-  if (SI >= Plan.Stmts.size() || SI >= Instr.Stmts.size()) {
-    Diags.add(Mk(CheckKernelShape, "segment kernel for statement " +
-                                       std::to_string(SI) +
-                                       " of a plan without that statement"));
-    return;
-  }
-  const exec::RowStmt &RS = Plan.Stmts[SI];
-  const codegen::KernelExpr *E = Kernels.expr(Instr.Stmts[SI].KernelId);
-  if (!E) {
-    Diags.add(Mk(CheckKernelShape, "statement " + std::to_string(SI) +
-                                       " has no registered expression form"));
-    return;
-  }
-  const std::size_t NR = RS.Reads.size();
-  const SegmentClaims C = parseSegmentText(Text, NR);
-  if (!C.Ok) {
-    Diags.add(Mk(CheckKernelShape, "statement " + std::to_string(SI) +
-                                       ": " + C.Why));
-    return;
-  }
-  const std::vector<char> Used = usedReads(*E, NR);
-
-  // K006: the emitted body with access brackets stripped must equal the
-  // registered tree's canonical text — same parenthesization, same hexfloat
-  // constants, same operand order. Anything else reorders FP evaluation.
-  if (C.Body.Normalized != E->text()) {
-    Diags.add(Mk(CheckKernelFpReassociation,
-                 "statement " + std::to_string(SI) + " body `" +
-                     C.Body.Normalized + "` is not the registered tree `" +
-                     E->text() + "`"));
-    return;
-  }
-
-  bool AliasAny = false;
-  for (const exec::RowStream &R : RS.Reads)
-    if (R.Space == RS.Write.Space)
-      AliasAny = true;
-  if (C.Simd && AliasAny) {
-    Diagnostic D = Mk(CheckKernelSimdUnsafe,
-                      "statement " + std::to_string(SI) +
-                          ": #pragma omp simd on a segment with a read into "
-                          "the written space (loop-carried dependence)");
-    D.Space = static_cast<int>(RS.Write.Space);
-    Diags.add(std::move(D));
-    return;
-  }
-  bool AnyRestrictR = false;
-  for (char R : C.RestrictR)
-    AnyRestrictR = AnyRestrictR || R;
-  if (AliasAny && (C.RestrictW || AnyRestrictR)) {
-    Diagnostic D = Mk(CheckKernelRestrictAlias,
-                      "statement " + std::to_string(SI) +
-                          ": restrict-qualified pointer on a segment whose "
-                          "read and write streams share a space");
-    D.Space = static_cast<int>(RS.Write.Space);
-    Diags.add(std::move(D));
-    return;
-  }
-
-  // K001: every baked stride against the plan stream it claims to walk.
-  // The witness point is I = 1, the first element where a stride error
-  // becomes an address error (both sides agree at I = 0 by construction).
-  auto Footprint = [&](const std::string &Which, std::int64_t Got,
-                       std::int64_t Want, unsigned Space) {
-    Diagnostic D = Mk(CheckKernelFootprint,
-                      "statement " + std::to_string(SI) + " " + Which +
-                          " walks stride " + std::to_string(Got) +
-                          ", plan footprint stride " + std::to_string(Want));
-    D.Space = static_cast<int>(Space);
-    D.Point = {1};
-    Diags.add(std::move(D));
-  };
-  if (!C.Body.Consistent) {
-    Diags.add(Mk(CheckKernelFootprint,
-                 "statement " + std::to_string(SI) +
-                     ": one operand is loaded with two different strides"));
-    return;
-  }
-  if (C.WriteStride != RS.Write.InnerStride) {
-    Footprint("store", C.WriteStride, RS.Write.InnerStride, RS.Write.Space);
-    return;
-  }
-  if (C.Body.CurrentStride && *C.Body.CurrentStride != RS.Write.InnerStride) {
-    Footprint("current-value load", *C.Body.CurrentStride,
-              RS.Write.InnerStride, RS.Write.Space);
-    return;
-  }
-  for (std::size_t J = 0; J < NR; ++J) {
-    if (!Used[J])
-      continue;
-    if (!C.ReadDeclared[J]) {
-      Diagnostic D = Mk(CheckKernelFootprint,
-                        "statement " + std::to_string(SI) + " read " +
-                            std::to_string(J) +
-                            " is never bound to its stream");
-      D.Space = static_cast<int>(RS.Reads[J].Space);
-      Diags.add(std::move(D));
-      return;
-    }
-    if (C.Body.ReadStrides[J] &&
-        *C.Body.ReadStrides[J] != RS.Reads[J].InnerStride) {
-      Footprint("read " + std::to_string(J), *C.Body.ReadStrides[J],
-                RS.Reads[J].InnerStride, RS.Reads[J].Space);
-      return;
-    }
-  }
-}
 
 void KernelVerifier::verifyRowKernel(const std::string &Text,
                                      Diagnostics &Diags) {
@@ -1130,16 +963,6 @@ Diagnostics verify::verifyPlanKernels(const exec::ExecutionPlan &Plan,
     KernelVerifyOptions O = Opts;
     O.Instr = static_cast<int>(II);
     KernelVerifier V(I, *RA.Plan, Kernels, O);
-    for (std::size_t SI = 0; SI < RA.Plan->Stmts.size(); ++SI) {
-      const codegen::KernelExpr *E = Kernels.expr(I.Stmts[SI].KernelId);
-      if (!E ||
-          E->maxRead() >= static_cast<int>(RA.Plan->Stmts[SI].Reads.size()))
-        continue; // No expression form: stays on the interpreted body.
-      const codegen::SegmentKernelSig Sig = exec::rowSegmentSig(*RA.Plan, SI);
-      V.verifySegmentKernel(
-          SI, codegen::printSegmentKernel(*E, Sig, "lcdfg_static_check"),
-          Diags);
-    }
     if (const auto Desc = exec::rowKernelDesc(*RA.Plan, I, Kernels))
       V.verifyRowKernel(codegen::printRowKernel(*Desc, "lcdfg_static_row"),
                         Diags);

@@ -62,9 +62,9 @@ struct KernelVerifyOptions {
   int Instr = -1;
 };
 
-/// Validates the emissions jit::Engine would compile for one instruction:
-/// per-statement segment kernels and the fused row walker. Holds references
-/// only — the instruction, plan and registry must outlive the verifier.
+/// Validates the fused row walker jit::Engine would compile for one
+/// instruction. Holds references only — the instruction, plan and registry
+/// must outlive the verifier.
 class KernelVerifier {
 public:
   KernelVerifier(const exec::NestInstr &Instr, const exec::RowPlan &Plan,
@@ -76,14 +76,6 @@ public:
   KernelVerifier(const exec::NestInstr &, const exec::RowPlan &&,
                  const codegen::KernelRegistry &,
                  KernelVerifyOptions = {}) = delete;
-
-  /// Validates statement \p SI's segment-kernel emission \p Text
-  /// (printSegmentKernel output): body tree (K006), simd/restrict claims
-  /// (K002/K003) and the baked strides against the plan streams (K001).
-  /// Appends findings to \p Diags; adds nothing when the emission is
-  /// proven faithful.
-  void verifySegmentKernel(std::size_t SI, const std::string &Text,
-                           Diagnostics &Diags);
 
   /// Validates the fused row-walker emission \p Text (printRowKernel
   /// output) by symbolically executing its claimed cursor arithmetic over
@@ -101,11 +93,10 @@ private:
 };
 
 /// Runs the full static validation of everything jit::Engine would be
-/// asked to compile for \p Plan: for every row-batchable instruction, each
-/// statement's segment kernel and — where the instruction has a fused-row
-/// form — the row walker. Never constructs an engine and never invokes a
-/// host compiler; instructions that stay scalar (or whose kernels have no
-/// expression form) contribute nothing, exactly as they would never reach
+/// asked to compile for \p Plan: the row walker of every row-batchable
+/// instruction with a fused-row form. Never constructs an engine and never
+/// invokes a host compiler; instructions that stay scalar (or have no
+/// fused-row form) contribute nothing, exactly as they would never reach
 /// the engine.
 Diagnostics verifyPlanKernels(const exec::ExecutionPlan &Plan,
                               const codegen::KernelRegistry &Kernels,

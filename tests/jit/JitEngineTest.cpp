@@ -1,7 +1,7 @@
 //===- tests/jit/JitEngineTest.cpp ----------------------------------------===//
 //
-// The host-compiler kernel backend. Compiled segment kernels must be
-// bitwise interchangeable with KernelExpr::eval, the two-level cache must
+// The host-compiler kernel backend. Compiled row kernels must be bitwise
+// interchangeable with KernelExpr::eval, the two-level cache must
 // serve repeats without recompiling (and recover from a corrupted object
 // by rebuilding it), and every failure mode — dead compiler, disabled
 // engine — must surface as E017 and descend the recovery ladder with
@@ -15,15 +15,21 @@
 #include "jit/JitEngine.h"
 
 #include "codegen/KernelExpr.h"
+#include "driver/Lowering.h"
 #include "exec/Recovery.h"
+#include "exec/RowPlan.h"
 #include "graph/GraphBuilder.h"
 #include "minifluxdiv/Spec.h"
+#include "obs/Trace.h"
+#include "parser/PragmaParser.h"
+#include "parser/ScriptRunner.h"
 #include "storage/StorageMap.h"
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <filesystem>
+#include <functional>
 #include <fstream>
 #include <string>
 #include <vector>
@@ -51,7 +57,7 @@ EngineOptions optsFor(const std::string &Dir) {
 }
 
 /// The reference stencil used across the cache tests:
-///   W[i] = W[i] + 0.5 * (R1[2i] - R0[i])
+///   W[x] = W[x] + 0.5 * (R1[2x] - R0[x])
 codegen::KernelExpr stencilExpr() {
   using codegen::current;
   using codegen::lit;
@@ -59,24 +65,35 @@ codegen::KernelExpr stencilExpr() {
   return current() + lit(0.5) * (read(1) - read(0));
 }
 
-codegen::SegmentKernelSig stencilSig() {
-  codegen::SegmentKernelSig Sig;
-  Sig.WriteStride = 1;
-  Sig.ReadStrides = {1, 2};
-  Sig.ReadAliasesWrite = {false, false};
-  return Sig;
+/// A one-statement row over x = 0..N-1 running \p E: direct write into
+/// space 0, direct reads R0 (space 1, stride 1) and R1 (space 2, stride 2).
+/// \p E must outlive the descriptor.
+codegen::RowKernelDesc stencilDesc(const codegen::KernelExpr &E,
+                                   std::int64_t N) {
+  codegen::RowKernelDesc::Stmt St;
+  St.Body = &E;
+  St.Lo = 0;
+  St.Hi = N - 1;
+  St.Write = {/*Space=*/0, /*Modulo=*/false, /*ModSize=*/1,
+              /*InnerStride=*/1, /*Flat=*/0, /*AliasesWrite=*/false};
+  St.Reads = {{1, false, 1, 1, 1, false}, {2, false, 1, 2, 2, false}};
+  codegen::RowKernelDesc Desc;
+  Desc.Stmts.push_back(St);
+  return Desc;
 }
 
-/// Runs \p K over N points and bit-compares against KernelExpr::eval on
-/// the same inputs.
-void expectKernelMatchesEval(codegen::BatchedKernel K,
-                             const codegen::KernelExpr &E,
-                             const codegen::SegmentKernelSig &Sig,
-                             std::int64_t N) {
-  std::vector<double> W(static_cast<std::size_t>(N * Sig.WriteStride), 0.0);
+/// Runs the one-statement row kernel \p K of \p Desc (direct streams,
+/// space J + 1 for read J) over its whole row and bit-compares against
+/// KernelExpr::eval on the same inputs.
+void expectRowMatchesEval(codegen::RowKernel K,
+                          const codegen::RowKernelDesc &Desc) {
+  const codegen::RowKernelDesc::Stmt &St = Desc.Stmts[0];
+  const std::int64_t N = St.Hi + 1;
+  std::vector<double> W(static_cast<std::size_t>(N * St.Write.InnerStride));
   std::vector<std::vector<double>> Reads;
-  for (std::size_t J = 0; J < Sig.ReadStrides.size(); ++J) {
-    std::vector<double> R(static_cast<std::size_t>(N * Sig.ReadStrides[J]));
+  for (std::size_t J = 0; J < St.Reads.size(); ++J) {
+    std::vector<double> R(
+        static_cast<std::size_t>(N * St.Reads[J].InnerStride));
     for (std::size_t I = 0; I < R.size(); ++I)
       R[I] = 0.25 + 0.001 * static_cast<double>((J + 2) * (I + 1));
     Reads.push_back(std::move(R));
@@ -88,19 +105,25 @@ void expectKernelMatchesEval(codegen::BatchedKernel K,
   for (std::int64_t I = 0; I < N; ++I) {
     std::vector<double> Vals;
     for (std::size_t J = 0; J < Reads.size(); ++J)
-      Vals.push_back(Reads[J][static_cast<std::size_t>(I * Sig.ReadStrides[J])]);
-    std::size_t WI = static_cast<std::size_t>(I * Sig.WriteStride);
-    Expected[WI] = E.eval(Vals, Expected[WI]);
+      Vals.push_back(
+          Reads[J][static_cast<std::size_t>(I * St.Reads[J].InnerStride)]);
+    std::size_t WI = static_cast<std::size_t>(I * St.Write.InnerStride);
+    Expected[WI] = St.Body->eval(Vals, Expected[WI]);
   }
 
-  std::vector<const double *> Ptrs;
-  for (const std::vector<double> &R : Reads)
-    Ptrs.push_back(R.data());
-  K(W.data(), Ptrs.data(), Sig.ReadStrides.data(), Sig.WriteStride, N);
+  std::vector<double *> Spaces = {W.data()};
+  for (std::vector<double> &R : Reads)
+    Spaces.push_back(R.data());
+  std::vector<std::int64_t> Base(1 + Reads.size(), 0);
+  std::int64_t Ctrs[2] = {0, 0};
+  K(Spaces.data(), Base.data(), /*Admit=*/1, /*RowLo=*/0, /*RowHi=*/N - 1,
+    Ctrs);
 
   ASSERT_EQ(Expected.size(), W.size());
   for (std::size_t I = 0; I < W.size(); ++I)
     EXPECT_EQ(Expected[I], W[I]) << "flat index " << I;
+  EXPECT_EQ(1, Ctrs[0]) << "no wrap and no cap: one segment";
+  EXPECT_EQ(0, Ctrs[1]);
 }
 
 /// Locates the single cached object file for a one-kernel engine run.
@@ -124,10 +147,10 @@ TEST(JitEngine, CompiledKernelIsBitIdenticalToEval) {
     GTEST_SKIP() << "no host compiler: " << Eng.unavailableReason();
 
   codegen::KernelExpr E = stencilExpr();
-  codegen::SegmentKernelSig Sig = stencilSig();
-  auto K = Eng.kernel(E, Sig);
+  const codegen::RowKernelDesc Desc = stencilDesc(E, 33);
+  auto K = Eng.rowKernel(Desc);
   ASSERT_TRUE(K) << K.error().toString();
-  expectKernelMatchesEval(*K, E, Sig, 33);
+  expectRowMatchesEval(*K, Desc);
   EXPECT_EQ(1, Eng.stats().Compiled);
   EXPECT_EQ(0, Eng.stats().Failures);
 }
@@ -143,18 +166,24 @@ TEST(JitEngine, AliasedReadStreamStillExact) {
   using codegen::lit;
   using codegen::read;
   codegen::KernelExpr E = current() + lit(0.5) * (read(1) - read(0));
-  codegen::SegmentKernelSig Sig;
-  Sig.WriteStride = 1;
-  Sig.ReadStrides = {1, 1};
-  Sig.ReadAliasesWrite = {true, false};
-  auto K = Eng.kernel(E, Sig);
+  const std::int64_t N = 24;
+  codegen::RowKernelDesc::Stmt St;
+  St.Body = &E;
+  St.Lo = 0;
+  St.Hi = N - 1;
+  St.Write = {/*Space=*/0, /*Modulo=*/false, /*ModSize=*/1,
+              /*InnerStride=*/1, /*Flat=*/0, /*AliasesWrite=*/false};
+  St.Reads = {{0, false, 1, 1, 1, /*AliasesWrite=*/true},
+              {1, false, 1, 1, 2, false}};
+  codegen::RowKernelDesc Desc;
+  Desc.Stmts.push_back(St);
+  auto K = Eng.rowKernel(Desc);
   ASSERT_TRUE(K) << K.error().toString();
 
   // The aliased read trails the write cursor by one element inside the
   // same buffer (the self-referencing stencil shape RowPlan produces):
   // with the ABI's ascending-order contract, lane I reads the value lane
   // I-1 just wrote, so any illegal vectorization shows up bitwise.
-  const std::int64_t N = 24;
   std::vector<double> Buf(static_cast<std::size_t>(N) + 1);
   std::vector<double> R1(static_cast<std::size_t>(N));
   for (std::size_t I = 0; I < Buf.size(); ++I)
@@ -169,9 +198,12 @@ TEST(JitEngine, AliasedReadStreamStillExact) {
         E.eval({Expected[S - 1], R1[static_cast<std::size_t>(I)]}, Expected[S]);
   }
 
-  std::vector<const double *> Ptrs = {Buf.data(), R1.data()};
-  std::vector<std::int64_t> Strides = {1, 1};
-  (*K)(Buf.data() + 1, Ptrs.data(), Strides.data(), 1, N);
+  // Pre-wrap bases: the write starts one element into the buffer, the
+  // aliased read at its start, R1 at its start.
+  double *Spaces[2] = {Buf.data(), R1.data()};
+  std::int64_t Base[3] = {1, 0, 0};
+  std::int64_t Ctrs[2] = {0, 0};
+  (*K)(Spaces, Base, /*Admit=*/1, /*RowLo=*/0, /*RowHi=*/N - 1, Ctrs);
   for (std::size_t I = 0; I < Buf.size(); ++I)
     EXPECT_EQ(Expected[I], Buf[I]) << "flat index " << I;
 }
@@ -256,10 +288,10 @@ TEST(JitEngine, SecondRequestHitsInMemoryCache) {
     GTEST_SKIP() << "no host compiler: " << Eng.unavailableReason();
 
   codegen::KernelExpr E = stencilExpr();
-  codegen::SegmentKernelSig Sig = stencilSig();
-  auto K1 = Eng.kernel(E, Sig);
+  const codegen::RowKernelDesc Desc = stencilDesc(E, 16);
+  auto K1 = Eng.rowKernel(Desc);
   ASSERT_TRUE(K1) << K1.error().toString();
-  auto K2 = Eng.kernel(E, Sig);
+  auto K2 = Eng.rowKernel(Desc);
   ASSERT_TRUE(K2) << K2.error().toString();
   EXPECT_EQ(*K1, *K2);
   EXPECT_EQ(1, Eng.stats().Compiled);
@@ -269,39 +301,39 @@ TEST(JitEngine, SecondRequestHitsInMemoryCache) {
 TEST(JitEngine, DiskCacheServesSecondEngineWithoutCompiling) {
   const std::string Dir = freshCacheDir("disk");
   codegen::KernelExpr E = stencilExpr();
-  codegen::SegmentKernelSig Sig = stencilSig();
+  const codegen::RowKernelDesc Desc = stencilDesc(E, 19);
   {
     Engine A(optsFor(Dir));
     if (!A.available())
       GTEST_SKIP() << "no host compiler: " << A.unavailableReason();
-    auto K = A.kernel(E, Sig);
+    auto K = A.rowKernel(Desc);
     ASSERT_TRUE(K) << K.error().toString();
     EXPECT_EQ(1, A.stats().Compiled);
   }
   Engine B(optsFor(Dir));
-  auto K = B.kernel(E, Sig);
+  auto K = B.rowKernel(Desc);
   ASSERT_TRUE(K) << K.error().toString();
   EXPECT_EQ(0, B.stats().Compiled);
   EXPECT_EQ(1, B.stats().CacheHits);
-  expectKernelMatchesEval(*K, E, Sig, 19);
+  expectRowMatchesEval(*K, Desc);
 }
 
 TEST(JitEngine, FlagChangeInvalidatesCacheKey) {
   const std::string Dir = freshCacheDir("flags");
   codegen::KernelExpr E = stencilExpr();
-  codegen::SegmentKernelSig Sig = stencilSig();
+  const codegen::RowKernelDesc Desc = stencilDesc(E, 19);
   {
     Engine A(optsFor(Dir));
     if (!A.available())
       GTEST_SKIP() << "no host compiler: " << A.unavailableReason();
-    auto K = A.kernel(E, Sig);
+    auto K = A.rowKernel(Desc);
     ASSERT_TRUE(K) << K.error().toString();
   }
   EngineOptions O = optsFor(Dir);
   O.ExtraFlags = "-DLCDFG_JIT_TEST_STALE";
   Engine B(std::move(O));
   ASSERT_TRUE(B.available()) << B.unavailableReason();
-  auto K = B.kernel(E, Sig);
+  auto K = B.rowKernel(Desc);
   ASSERT_TRUE(K) << K.error().toString();
   // Different flags, different key: the old object must not be reused.
   EXPECT_EQ(1, B.stats().Compiled);
@@ -318,12 +350,12 @@ TEST(JitEngine, CorruptCachedObjectIsRebuilt) {
   const std::string DirA = freshCacheDir("corrupt-a");
   const std::string DirB = freshCacheDir("corrupt-b");
   codegen::KernelExpr E = stencilExpr();
-  codegen::SegmentKernelSig Sig = stencilSig();
+  const codegen::RowKernelDesc Desc = stencilDesc(E, 19);
   {
     Engine A(optsFor(DirA));
     if (!A.available())
       GTEST_SKIP() << "no host compiler: " << A.unavailableReason();
-    auto K = A.kernel(E, Sig);
+    auto K = A.rowKernel(Desc);
     ASSERT_TRUE(K) << K.error().toString();
   }
   const fs::path SoA = onlyObjectIn(DirA);
@@ -334,11 +366,11 @@ TEST(JitEngine, CorruptCachedObjectIsRebuilt) {
     Out << "not an elf object";
   }
   Engine B(optsFor(DirB));
-  auto K = B.kernel(E, Sig);
+  auto K = B.rowKernel(Desc);
   ASSERT_TRUE(K) << K.error().toString();
   EXPECT_EQ(1, B.stats().Compiled) << "corrupt object must be rebuilt";
   EXPECT_EQ(0, B.stats().Failures);
-  expectKernelMatchesEval(*K, E, Sig, 19);
+  expectRowMatchesEval(*K, Desc);
 }
 
 TEST(JitEngine, DeadCompilerIsUnavailableNotFatal) {
@@ -347,7 +379,8 @@ TEST(JitEngine, DeadCompilerIsUnavailableNotFatal) {
   Engine Eng(std::move(O));
   EXPECT_FALSE(Eng.available());
   EXPECT_FALSE(Eng.unavailableReason().empty());
-  auto K = Eng.kernel(stencilExpr(), stencilSig());
+  const codegen::KernelExpr E = stencilExpr();
+  auto K = Eng.rowKernel(stencilDesc(E, 8));
   ASSERT_FALSE(K);
   EXPECT_EQ(support::ErrorCode::JitUnavailable, K.error().code());
   EXPECT_GE(Eng.stats().Failures, 1);
@@ -359,7 +392,8 @@ TEST(JitEngine, DisabledEngineRefusesWithE017) {
   O.Enabled = false;
   Engine Eng(std::move(O));
   EXPECT_FALSE(Eng.available());
-  auto K = Eng.kernel(stencilExpr(), stencilSig());
+  const codegen::KernelExpr E = stencilExpr();
+  auto K = Eng.rowKernel(stencilDesc(E, 8));
   ASSERT_FALSE(K);
   EXPECT_EQ(support::ErrorCode::JitUnavailable, K.error().code());
 }
@@ -488,4 +522,181 @@ TEST(JitRecovery, WorkingEngineCompilesAndStaysBitIdentical) {
   ASSERT_EQ(Expected.size(), Got.size());
   for (std::size_t I = 0; I < Expected.size(); ++I)
     EXPECT_EQ(Expected[I], Got[I]) << "flat index " << I;
+}
+
+//===----------------------------------------------------------------------===//
+// Instructions with no row kernel: benign refusals stay interpreted and
+// silent, and an instruction that runs nothing falls back from nothing.
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// Opaque kernel for one read: scalar and batched bodies, no expression
+/// form, so the JIT cannot emit it.
+double opaqueScalar(const std::vector<double> &Reads, double Current) {
+  return 0.5 * Reads[0] + Current;
+}
+
+void opaqueBatched(double *W, const double *const *R, const std::int64_t *S,
+                   std::int64_t WS, std::int64_t N) {
+  for (std::int64_t I = 0; I < N; ++I)
+    W[I * WS] = 0.5 * R[0][I * S[0]] + W[I * WS];
+}
+
+/// Parses \p Text, lets \p Prepare register kernels on the chain, applies
+/// \p Script and lowers at \p Size through the shared driver stage.
+driver::Lowered
+lowerChain(const std::string &Text, const char *Script, std::int64_t Size,
+           const std::function<void(ir::LoopChain &,
+                                    codegen::KernelRegistry &)> &Prepare = {}) {
+  parser::ParseResult P = parser::parseLoopChain(Text);
+  EXPECT_TRUE(static_cast<bool>(P)) << P.Error;
+  codegen::KernelRegistry Kernels;
+  if (Prepare)
+    Prepare(*P.Chain, Kernels);
+  driver::Scheduled S(std::move(*P.Chain));
+  parser::ScriptResult R = parser::runScript(*S.G, Script);
+  EXPECT_TRUE(static_cast<bool>(R)) << R.Error;
+  driver::LowerOptions Opts;
+  Opts.Size = Size;
+  auto L = driver::Lowered::lower(std::move(S), std::move(Kernels), Opts);
+  EXPECT_TRUE(static_cast<bool>(L)) << L.error().toString();
+  return std::move(*L);
+}
+
+std::vector<double> persistentOutputs(const driver::Lowered &L,
+                                      storage::ConcreteStorage &Store) {
+  std::vector<double> Out;
+  for (const std::string &Name : L.Chain->arrayNames())
+    if (L.Chain->array(Name).Kind == ir::StorageKind::PersistentOutput) {
+      const std::vector<double> &Space = Store.spaceOf(Name);
+      Out.insert(Out.end(), Space.begin(), Space.end());
+    }
+  return Out;
+}
+
+/// The single instruction of \p L batches, gets no row kernel for reason
+/// \p Refusal, and its JIT-mode run through the ladder completes on the
+/// first rung — no L008 — bit-identical to the scalar path.
+void expectInterpretedWithoutDescent(driver::Lowered &L, Engine &Eng,
+                                     const char *Refusal) {
+  ASSERT_EQ(L.Plan.Instrs.size(), 1u);
+  exec::RowAnalysis RA =
+      exec::RowPlan::analyze(L.Plan.Instrs[0], L.Kernels, &Eng);
+  ASSERT_TRUE(RA.Plan.has_value()) << exec::rowRefusalName(RA.Refusal);
+  EXPECT_EQ(exec::jitRefusalName(RA.Jit), Refusal) << RA.JitDetail;
+  EXPECT_EQ(RA.JitStmts, 0);
+  EXPECT_EQ(RA.Plan->Row, nullptr);
+
+  storage::ConcreteStorage Ref(L.SPlan, L.Env);
+  L.seedStore(Ref);
+  exec::RunOptions Scalar;
+  Scalar.Batched = false;
+  Scalar.Threads = 1;
+  exec::runPlan(L.Plan, L.Kernels, Ref, Scalar);
+
+  storage::ConcreteStorage Store(L.SPlan, L.Env);
+  L.seedStore(Store);
+  exec::RecoverOptions RO;
+  RO.Run.Batched = true;
+  RO.Run.Threads = 1;
+  RO.Run.Kernels = exec::KernelMode::Jit;
+  RO.Run.Jit = &Eng;
+  exec::RunReport R = exec::runWithRecovery(L.Plan, L.Kernels, Store, RO);
+  EXPECT_TRUE(R.Completed) << R.toString();
+  EXPECT_FALSE(R.Recovered) << R.toString();
+  EXPECT_TRUE(R.Descents.empty()) << R.toString();
+  EXPECT_EQ("jit-batched-serial", R.FinalRung);
+
+  const std::vector<double> Expected = persistentOutputs(L, Ref);
+  const std::vector<double> Got = persistentOutputs(L, Store);
+  ASSERT_FALSE(Expected.empty());
+  ASSERT_EQ(Expected.size(), Got.size());
+  for (std::size_t I = 0; I < Expected.size(); ++I)
+    EXPECT_EQ(Expected[I], Got[I]) << "flat index " << I;
+}
+
+constexpr const char *Fig1Chain =
+    "#pragma omplc for domain(0:N, 0:N-1) with (x, y) "
+    "write VAL_1{(x,y)} read VAL_0{(x,y)}\n"
+    "S1: VAL_1(x,y) = f(VAL_0(x,y));\n"
+    "#pragma omplc for domain(0:N-1, 0:N-1) with (x, y) "
+    "write VAL_2{(x,y)} read VAL_1{(x,y),(x+1,y)}\n"
+    "S2: VAL_2(x,y) = g(VAL_1(x,y), VAL_1(x+1,y));\n";
+
+} // namespace
+
+TEST(JitRecovery, OpaqueStatementKeepsInstructionInterpretedWithoutL008) {
+  Engine Eng(optsFor(freshCacheDir("opaque")));
+  if (!Eng.available())
+    GTEST_SKIP() << "no host compiler: " << Eng.unavailableReason();
+  // S1 carries an opaque kernel, S2 the expression-form stand-in; fused,
+  // they share one instruction, which therefore has no row kernel.
+  driver::Lowered L = lowerChain(
+      Fig1Chain, "fusepc S1 S2\n", 9,
+      [](ir::LoopChain &Chain, codegen::KernelRegistry &Kernels) {
+        Chain.nest(0).KernelId = Kernels.add(opaqueScalar, opaqueBatched);
+      });
+  ASSERT_EQ(L.Plan.Instrs[0].Stmts.size(), 2u);
+  expectInterpretedWithoutDescent(L, Eng, "no-kernel-expr");
+  EXPECT_EQ(0, Eng.stats().Compiled + Eng.stats().CacheHits);
+}
+
+TEST(JitRecovery, SixtyFiveStatementsKeepInstructionInterpretedWithoutL008) {
+  Engine Eng(optsFor(freshCacheDir("over64")));
+  if (!Eng.available())
+    GTEST_SKIP() << "no host compiler: " << Eng.unavailableReason();
+  // A 65-nest pipeline A0 -> A1 -> ... -> A65, fused producer into
+  // consumer into one instruction: one statement past the row kernel's
+  // admission bitmask.
+  std::string Text, Script, Fused = "S1";
+  for (int K = 1; K <= 65; ++K) {
+    const std::string S = "S" + std::to_string(K);
+    const std::string W = "A" + std::to_string(K);
+    const std::string R = "A" + std::to_string(K - 1);
+    Text += "#pragma omplc for domain(0:N) with (x) write " + W +
+            "{(x)} read " + R + "{(x)}\n" + S + ": " + W + "(x) = f(" + R +
+            "(x));\n";
+    if (K > 1) {
+      Script += "fusepc " + Fused + " " + S + "\n";
+      Fused += "+" + S;
+    }
+  }
+  driver::Lowered L = lowerChain(Text, Script.c_str(), 16);
+  ASSERT_EQ(L.Plan.Instrs[0].Stmts.size(), 65u);
+  expectInterpretedWithoutDescent(L, Eng, "over-64-stmts");
+  EXPECT_EQ(0, Eng.stats().Compiled + Eng.stats().CacheHits);
+}
+
+TEST(JitRecovery, EmptyInnerSpansCountNoFallback) {
+  // Both fused statements range over x in [0, N-5], empty at N = 4: the
+  // instruction batches but no row ever runs, so there is nothing for the
+  // JIT to specialize and nothing to fall back from.
+  Engine Eng(optsFor(freshCacheDir("empty")));
+  driver::Lowered L = lowerChain(
+      "#pragma omplc for domain(0:N-5) with (x) write B{(x)} read A{(x)}\n"
+      "S1: B(x) = f(A(x));\n"
+      "#pragma omplc for domain(0:N-5) with (x) write C{(x)} read B{(x)}\n"
+      "S2: C(x) = f(B(x));\n",
+      "fusepc S1 S2\n", 4);
+  ASSERT_EQ(L.Plan.Instrs.size(), 1u);
+  exec::RowAnalysis RA =
+      exec::RowPlan::analyze(L.Plan.Instrs[0], L.Kernels, &Eng);
+  ASSERT_TRUE(RA.Plan.has_value()) << exec::rowRefusalName(RA.Refusal);
+  EXPECT_EQ(exec::jitRefusalName(RA.Jit), "no-inner-span");
+  EXPECT_EQ(RA.JitStmts, 0);
+
+  storage::ConcreteStorage Store(L.SPlan, L.Env);
+  L.seedStore(Store);
+  exec::RunOptions O;
+  O.Batched = true;
+  O.Threads = 1;
+  O.Kernels = exec::KernelMode::Jit;
+  O.Jit = &Eng;
+  obs::Tracer::global().enable();
+  exec::runPlan(L.Plan, L.Kernels, Store, O);
+  obs::Trace T = obs::Tracer::global().drain();
+  obs::Tracer::global().disable();
+  EXPECT_EQ(1, T.counter(obs::Counter::BatchedInstrs));
+  EXPECT_EQ(0, T.counter(obs::Counter::JitFallbacks));
 }

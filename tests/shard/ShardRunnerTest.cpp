@@ -168,6 +168,12 @@ struct MatrixCase {
   int Shards;
 };
 
+// Print the fault spec and shard count instead of gtest's default byte
+// dump, whose pointer bytes change from run to run.
+void PrintTo(const MatrixCase &C, std::ostream *OS) {
+  *OS << C.Spec << " x" << C.Shards;
+}
+
 class ShardFaultMatrix : public ::testing::TestWithParam<MatrixCase> {};
 
 TEST_P(ShardFaultMatrix, DescendsToL009AndStaysBitIdentical) {

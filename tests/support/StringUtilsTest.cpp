@@ -50,3 +50,20 @@ TEST(StringUtils, ConsumePrefix) {
   EXPECT_FALSE(consumePrefix(T, "#pragma"));
   EXPECT_EQ(T, "nothing");
 }
+
+TEST(StringUtils, ParseIntFlagChecksPrefixWholeValueAndRange) {
+  std::int64_t V = 7;
+  EXPECT_TRUE(parseIntFlag("--port=8080", "--port=", 0, 65535, V));
+  EXPECT_EQ(V, 8080);
+  V = 7;
+  EXPECT_FALSE(parseIntFlag("--size=8", "--port=", 0, 65535, V));
+  EXPECT_FALSE(parseIntFlag("--port=", "--port=", 0, 65535, V));
+  EXPECT_FALSE(parseIntFlag("--port=80x", "--port=", 0, 65535, V));
+  EXPECT_FALSE(parseIntFlag("--port=-1", "--port=", 0, 65535, V));
+  EXPECT_FALSE(parseIntFlag("--port=4294967297", "--port=", 0, 65535, V));
+  EXPECT_FALSE(
+      parseIntFlag("--mb=99999999999999999999", "--mb=", 0, 1 << 20, V));
+  EXPECT_EQ(V, 7) << "a rejected value leaves Out untouched";
+  EXPECT_TRUE(parseIntFlag("--mb=-3", "--mb=", -3, 3, V));
+  EXPECT_EQ(V, -3);
+}

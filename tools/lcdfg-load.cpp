@@ -30,14 +30,17 @@
 //===----------------------------------------------------------------------===//
 
 #include "serve/Server.h"
+#include "support/StringUtils.h"
 
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -63,14 +66,10 @@ struct LoadOptions {
   std::string Raw;
 };
 
-bool parseIntArg(const char *Arg, const char *Prefix, long &Out) {
-  std::size_t Len = std::strlen(Prefix);
-  if (std::strncmp(Arg, Prefix, Len) != 0)
-    return false;
-  char *End = nullptr;
-  Out = std::strtol(Arg + Len, &End, 10);
-  return End != Arg + Len && *End == '\0';
-}
+constexpr std::int64_t IntMin = std::numeric_limits<int>::min();
+constexpr std::int64_t IntMax = std::numeric_limits<int>::max();
+constexpr std::int64_t LongMin = std::numeric_limits<long>::min();
+constexpr std::int64_t LongMax = std::numeric_limits<long>::max();
 
 bool parseStrArg(const char *Arg, const char *Prefix, std::string &Out) {
   std::size_t Len = std::strlen(Prefix);
@@ -178,26 +177,26 @@ int main(int Argc, char **Argv) {
 
   for (int I = 1; I < Argc; ++I) {
     const char *A = Argv[I];
-    long N = 0;
+    std::int64_t N = 0;
     if (parseStrArg(A, "--unix=", Opts.UnixPath)) {
       HaveEndpoint = true;
-    } else if (parseIntArg(A, "--port=", N)) {
+    } else if (parseIntFlag(A, "--port=", 0, 65535, N)) {
       Opts.Port = static_cast<int>(N);
       HaveEndpoint = true;
-    } else if (parseIntArg(A, "--clients=", N)) {
+    } else if (parseIntFlag(A, "--clients=", IntMin, IntMax, N)) {
       Opts.Clients = static_cast<int>(N > 0 ? N : 1);
-    } else if (parseIntArg(A, "--requests=", N)) {
+    } else if (parseIntFlag(A, "--requests=", LongMin, LongMax, N)) {
       Opts.Requests = N > 0 ? N : 1;
     } else if (parseStrArg(A, "--mix=", Opts.Mix)) {
     } else if (parseStrArg(A, "--chain=", Opts.ChainFile)) {
     } else if (parseStrArg(A, "--script=", Opts.ScriptFile)) {
-    } else if (parseIntArg(A, "--size=", N)) {
+    } else if (parseIntFlag(A, "--size=", LongMin, LongMax, N)) {
       Opts.Size = N;
-    } else if (parseIntArg(A, "--threads=", N)) {
+    } else if (parseIntFlag(A, "--threads=", LongMin, LongMax, N)) {
       Opts.Threads = N;
     } else if (std::strcmp(A, "--checksum") == 0) {
       Opts.Checksum = true;
-    } else if (parseIntArg(A, "--timeout-ms=", N)) {
+    } else if (parseIntFlag(A, "--timeout-ms=", IntMin, IntMax, N)) {
       Opts.TimeoutMs = static_cast<int>(N);
     } else if (parseStrArg(A, "--raw=", Opts.Raw)) {
     } else {

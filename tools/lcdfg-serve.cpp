@@ -27,13 +27,16 @@
 //===----------------------------------------------------------------------===//
 
 #include "serve/Server.h"
+#include "support/StringUtils.h"
 
 #include <atomic>
 #include <chrono>
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <thread>
 
@@ -45,14 +48,10 @@ std::atomic<int> GSignal{0};
 
 void onSignal(int Sig) { GSignal.store(Sig); }
 
-bool parseIntArg(const char *Arg, const char *Prefix, long &Out) {
-  std::size_t Len = std::strlen(Prefix);
-  if (std::strncmp(Arg, Prefix, Len) != 0)
-    return false;
-  char *End = nullptr;
-  Out = std::strtol(Arg + Len, &End, 10);
-  return End != Arg + Len && *End == '\0';
-}
+constexpr std::int64_t IntMin = std::numeric_limits<int>::min();
+constexpr std::int64_t IntMax = std::numeric_limits<int>::max();
+constexpr std::int64_t Int64Min = std::numeric_limits<std::int64_t>::min();
+constexpr std::int64_t Int64Max = std::numeric_limits<std::int64_t>::max();
 
 int usage(const char *Argv0) {
   std::fprintf(stderr,
@@ -72,28 +71,28 @@ int main(int Argc, char **Argv) {
 
   for (int I = 1; I < Argc; ++I) {
     const char *A = Argv[I];
-    long N = 0;
+    std::int64_t N = 0;
     if (std::strncmp(A, "--unix=", 7) == 0) {
       Opts.UnixPath = A + 7;
       HaveEndpoint = true;
-    } else if (parseIntArg(A, "--port=", N)) {
+    } else if (parseIntFlag(A, "--port=", 0, 65535, N)) {
       Opts.TcpPort = static_cast<int>(N);
       HaveEndpoint = true;
-    } else if (parseIntArg(A, "--capacity=", N)) {
+    } else if (parseIntFlag(A, "--capacity=", Int64Min, Int64Max, N)) {
       Opts.CacheCapacity = static_cast<std::size_t>(N > 0 ? N : 1);
-    } else if (parseIntArg(A, "--budget-mb=", N)) {
+    } else if (parseIntFlag(A, "--budget-mb=", 0, Int64Max >> 20, N)) {
       Opts.BudgetBytes = N << 20;
-    } else if (parseIntArg(A, "--max-clients=", N)) {
+    } else if (parseIntFlag(A, "--max-clients=", IntMin, IntMax, N)) {
       Opts.MaxClients = static_cast<int>(N);
-    } else if (parseIntArg(A, "--max-concurrent=", N)) {
+    } else if (parseIntFlag(A, "--max-concurrent=", IntMin, IntMax, N)) {
       Opts.MaxConcurrent = static_cast<int>(N);
-    } else if (parseIntArg(A, "--heavy-mb=", N)) {
+    } else if (parseIntFlag(A, "--heavy-mb=", 0, Int64Max >> 20, N)) {
       Opts.HeavyBytes = N << 20;
-    } else if (parseIntArg(A, "--max-size=", N)) {
+    } else if (parseIntFlag(A, "--max-size=", Int64Min, Int64Max, N)) {
       Opts.MaxSize = N;
-    } else if (parseIntArg(A, "--idle-ms=", N)) {
+    } else if (parseIntFlag(A, "--idle-ms=", IntMin, IntMax, N)) {
       Opts.IdleTimeoutMs = static_cast<int>(N);
-    } else if (parseIntArg(A, "--wedge-ms=", N)) {
+    } else if (parseIntFlag(A, "--wedge-ms=", IntMin, IntMax, N)) {
       Opts.WedgeTimeoutMs = static_cast<int>(N);
     } else if (std::strcmp(A, "--no-shutdown") == 0) {
       Opts.AllowShutdown = false;
