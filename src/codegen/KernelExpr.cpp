@@ -7,6 +7,8 @@
 
 #include "codegen/KernelExpr.h"
 
+#include "support/Hash.h"
+
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
@@ -126,29 +128,18 @@ std::string renderNode(const KernelExpr::Node &N,
   return {};
 }
 
-std::uint64_t fnvByte(std::uint64_t H, unsigned char B) {
-  H ^= B;
-  H *= 0x100000001b3ull;
-  return H;
-}
-
-std::uint64_t fnvU64(std::uint64_t H, std::uint64_t V) {
-  for (int I = 0; I < 8; ++I)
-    H = fnvByte(H, static_cast<unsigned char>(V >> (I * 8)));
-  return H;
-}
-
 std::uint64_t hashNode(const KernelExpr::Node &N, std::uint64_t H) {
-  H = fnvByte(H, static_cast<unsigned char>(N.K));
+  const auto Kind = static_cast<unsigned char>(N.K);
+  H = support::fnv1aBytes(&Kind, 1, H);
   switch (N.K) {
   case KernelExpr::Kind::Const: {
     std::uint64_t Bits;
     static_assert(sizeof(Bits) == sizeof(N.Value));
     std::memcpy(&Bits, &N.Value, sizeof(Bits));
-    return fnvU64(H, Bits);
+    return support::fnv1aU64(H, Bits);
   }
   case KernelExpr::Kind::Read:
-    return fnvU64(H, N.Index);
+    return support::fnv1aU64(H, N.Index);
   case KernelExpr::Kind::Current:
     return H;
   default:

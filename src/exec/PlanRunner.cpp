@@ -607,10 +607,12 @@ PlanStats exec::runPlan(const ExecutionPlan &Plan,
   Collector C(Plan, Opts.CollectStats, Threads);
 
   // Row-batch the instructions once per run; the compiled plans are
-  // immutable and shared by every worker. Stats runs stay on the scalar
-  // interpreter, which owns the element counting.
+  // immutable and shared by every worker, and their verdicts become the
+  // run's Dispatch record — the only row analysis on the run path. Stats
+  // runs stay on the scalar interpreter, which owns the element counting.
   std::vector<std::optional<RowPlan>> Rows;
   const std::optional<RowPlan> *RowsPtr = nullptr;
+  std::vector<PlanStats::DispatchStat> Dispatch;
   if (Opts.Batched && !Opts.CollectStats) {
     // Kernel provenance: under Jit mode each instruction runs one fused
     // row kernel where the engine can produce it; otherwise its statements
@@ -622,11 +624,14 @@ PlanStats exec::runPlan(const ExecutionPlan &Plan,
       Jit = Opts.Jit ? Opts.Jit : &jit::Engine::global();
     obs::Tracer &Tr = obs::Tracer::global();
     Rows.reserve(Plan.Instrs.size());
+    Dispatch.reserve(Plan.Instrs.size());
     for (const NestInstr &I : Plan.Instrs) {
       RowAnalysis RA = RowPlan::analyze(I, Kernels, Jit);
+      const int Stmts = static_cast<int>(I.Stmts.size());
       if (Jit && RA.Plan && RA.Jit != JitRefusal::NoInnerSpan)
-        Tr.add(obs::Counter::JitFallbacks,
-               static_cast<std::int64_t>(RA.Plan->Stmts.size()) - RA.JitStmts);
+        Tr.add(obs::Counter::JitFallbacks, Stmts - RA.JitStmts);
+      Dispatch.push_back({I.Label, RA.Refusal, RA.Jit,
+                          std::move(RA.JitDetail), Stmts, RA.JitStmts});
       Rows.push_back(std::move(RA.Plan));
     }
     RowsPtr = Rows.data();
@@ -700,6 +705,14 @@ PlanStats exec::runPlan(const ExecutionPlan &Plan,
   const double ScratchInit =
       Opts.Harden ? std::numeric_limits<double>::quiet_NaN() : 0.0;
 
+  auto Finish = [&](int Used, bool SerializedRun) {
+    PlanStats St = finish(Plan, C, secondsSince(Start), Requested, Used,
+                          SerializedRun);
+    HardenGuard();
+    St.Dispatch = std::move(Dispatch);
+    return St;
+  };
+
   if (Threads <= 1 || Plan.Tasks.empty()) {
     // Serial: task order (always a valid topological order) — this is the
     // reference semantics every parallel run must reproduce. The budget
@@ -718,10 +731,7 @@ PlanStats exec::runPlan(const ExecutionPlan &Plan,
       runTask(Plan, static_cast<int>(T), Kernels, Shared.data(), RowsPtr, C,
               0);
     }
-    PlanStats St =
-        finish(Plan, C, secondsSince(Start), Requested, 1, Serialized);
-    HardenGuard();
-    return St;
+    return Finish(1, Serialized);
   }
 
   if (!Plan.TileParallel) {
@@ -738,10 +748,7 @@ PlanStats exec::runPlan(const ExecutionPlan &Plan,
                   Participant);
         },
         Opts.MemBudget, &Tracker);
-    PlanStats St =
-        finish(Plan, C, secondsSince(Start), Requested, Threads, false);
-    HardenGuard();
-    return St;
+    return Finish(Threads, false);
   }
 
   // Tile-parallel: each tile's instructions run back to back on one
@@ -787,10 +794,7 @@ PlanStats exec::runPlan(const ExecutionPlan &Plan,
       },
       Opts.MemBudget, nullptr,
       "tile-parallel runs privatize temporaries per worker");
-  PlanStats St =
-      finish(Plan, C, secondsSince(Start), Requested, Threads, false);
-  HardenGuard();
-  return St;
+  return Finish(Threads, false);
 }
 
 PlanStats exec::runPlan(const ExecutionPlan &Plan, const RunOptions &Opts) {

@@ -21,6 +21,7 @@
 
 #include "codegen/Interpreter.h"
 #include "exec/ExecutionPlan.h"
+#include "exec/RowPlan.h"
 #include "storage/LivenessAllocator.h"
 
 #include <cstdint>
@@ -78,6 +79,21 @@ struct PlanStats {
     std::int64_t RawReads = 0; ///< Operand loads it performed.
   };
   std::vector<WorkerStat> Workers;
+
+  /// How a batched run dispatched each instruction, in plan order: the
+  /// verdicts of the run's one RowPlan::analyze per instruction (the
+  /// compiled plans stay private to the run). The recovery ladder turns
+  /// these into its L001/L008 descents and `lcdfg-opt --report` prints
+  /// them as its dispatch lines. Empty on scalar and CollectStats runs.
+  struct DispatchStat {
+    std::string Label;
+    RowRefusal Refusal = RowRefusal::None; ///< None: ran row-batched.
+    JitRefusal Jit = JitRefusal::NotRequested;
+    std::string JitDetail;
+    int Stmts = 0;    ///< Statement records of the instruction.
+    int JitStmts = 0; ///< Of those, statements that ran compiled code.
+  };
+  std::vector<DispatchStat> Dispatch;
 
   double Seconds = 0.0; ///< Whole-plan wall time.
 

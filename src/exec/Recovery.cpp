@@ -3,9 +3,7 @@
 #include "exec/Recovery.h"
 
 #include "exec/FaultInjector.h"
-#include "exec/RowPlan.h"
 #include "exec/ThreadPool.h"
-#include "jit/JitEngine.h"
 #include "obs/Trace.h"
 #include "storage/StorageMap.h"
 #include "support/StringUtils.h"
@@ -75,7 +73,6 @@ RunReport exec::runWithRecovery(const ExecutionPlan &Plan,
   // runner's own effectiveKernelMode call is then a no-op.
   O.Kernels = effectiveKernelMode(O.Kernels);
   bool OnFallback = false;
-  bool JitChecked = false;
 
   auto RungName = [&]() {
     std::string Name = O.Batched ? "batched" : "scalar";
@@ -153,13 +150,43 @@ RunReport exec::runWithRecovery(const ExecutionPlan &Plan,
     Snapshots.emplace_back(CurStore, std::move(Spaces));
   };
 
+  // Reads the completed rung's dispatch record. A refused instruction
+  // already ran one form lower (scalar, or interpreted bodies) while the
+  // others kept theirs, so a descent only renames the rung. An unprovable
+  // interleave (L001) and undeliverable JIT (L008) are worth reporting;
+  // benign refusals stay silent.
+  auto DescendFromDispatch = [&] {
+    for (const PlanStats::DispatchStat &D : R.Stats.Dispatch)
+      if (D.Refusal == RowRefusal::UnsafeInterleave) {
+        NoteDescent(ReasonBatchedRefusal,
+                    "instruction " + D.Label +
+                        ": no safe segment cap provable");
+        O.Batched = false;
+        return;
+      }
+    if (!O.Batched || O.Kernels != KernelMode::Jit)
+      return;
+    for (const PlanStats::DispatchStat &D : R.Stats.Dispatch)
+      if (D.Jit == JitRefusal::EngineUnavailable ||
+          D.Jit == JitRefusal::CompileFailed ||
+          D.Jit == JitRefusal::ValidationRejected) {
+        NoteDescent(ReasonJitUnavailable,
+                    D.Jit == JitRefusal::EngineUnavailable
+                        ? "engine unavailable: " + D.JitDetail
+                        : "instruction " + D.Label + ": " + D.JitDetail);
+        O.Kernels = KernelMode::Interp;
+        return;
+      }
+  };
+
   const ExecutionPlan *Verified = nullptr;
   for (;;) {
     // Strict gate: statically verify each distinct plan before running it.
     if (Opts.StrictVerify && Cur != Verified) {
+      constexpr std::int64_t VerifyBudget = std::int64_t{1} << 22;
       verify::VerifyOptions VO;
       VO.Kernels = Opts.VerifyKernels;
-      VO.Budget = Opts.VerifyBudget;
+      VO.Budget = VerifyBudget; // statement instances
       verify::PlanVerifier V(*Cur, VO);
       verify::Diagnostics Diags = V.verify();
       Verified = Cur;
@@ -174,56 +201,6 @@ RunReport exec::runWithRecovery(const ExecutionPlan &Plan,
                                 "is available: " +
                                     Detail);
         return R;
-      }
-    }
-
-    // Batched-compile refusal: an instruction whose statement interleave
-    // has no provable segment cap keeps the whole run on the scalar path
-    // (the per-instruction fallback inside runPlan covers the benign
-    // refusal classes silently; the unsafe class is worth reporting).
-    if (O.Batched) {
-      for (const NestInstr &I : Cur->Instrs) {
-        if (I.External)
-          continue;
-        if (RowPlan::analyze(I, Kernels).Refusal ==
-            RowRefusal::UnsafeInterleave) {
-          NoteDescent(ReasonBatchedRefusal,
-                      "instruction " + I.Label +
-                          ": no safe segment cap provable");
-          O.Batched = false;
-          break;
-        }
-      }
-    }
-
-    // JIT availability: requested-but-undeliverable specialization is
-    // reported once (L008) and the run proceeds on the interpreted batched
-    // bodies — never a hard error. Kernels without an expression form are
-    // benign (like NoBatchedKernel above) and stay silent; a dead engine,
-    // a failing host compile, or a translation-validation rejection is
-    // worth a descent.
-    if (!JitChecked && O.Batched && O.Kernels == KernelMode::Jit) {
-      JitChecked = true;
-      jit::Engine *Eng = O.Jit ? O.Jit : &jit::Engine::global();
-      std::string Why;
-      if (!Eng->available()) {
-        Why = "engine unavailable: " + Eng->unavailableReason();
-      } else {
-        for (const NestInstr &I : Cur->Instrs) {
-          if (I.External)
-            continue;
-          RowAnalysis RA = RowPlan::analyze(I, Kernels, Eng);
-          if (RA.Jit == JitRefusal::EngineUnavailable ||
-              RA.Jit == JitRefusal::CompileFailed ||
-              RA.Jit == JitRefusal::ValidationRejected) {
-            Why = "instruction " + I.Label + ": " + RA.JitDetail;
-            break;
-          }
-        }
-      }
-      if (!Why.empty()) {
-        NoteDescent(ReasonJitUnavailable, std::move(Why));
-        O.Kernels = KernelMode::Interp;
       }
     }
 
@@ -250,6 +227,7 @@ RunReport exec::runWithRecovery(const ExecutionPlan &Plan,
     try {
       R.Stats = runPlan(*Cur, Kernels, *CurStore, O);
       EndRung();
+      DescendFromDispatch();
       R.Completed = true;
       R.Recovered = !R.Descents.empty();
       R.FinalRung = RungName();

@@ -32,15 +32,19 @@
 ///                           policy could reach (completing beats failing)
 ///   L008-jit-unavailable    JIT kernels were requested but the engine
 ///                           cannot deliver them (no host compiler, cache
-///                           failure, compile error — E017); the run
-///                           proceeds on the interpreted batched bodies,
-///                           bit-identical by construction
+///                           failure, compile error — E017) or the
+///                           translation validator rejected the kernel;
+///                           the instruction ran on its interpreted
+///                           batched bodies, bit-identical by construction
 ///   L009-shard-degraded     a sharded multi-process run lost a peer
 ///                           (E018) or an exchange deadline (E019); the
 ///                           coordinator restores the pre-step snapshot
 ///                           and re-runs the remaining steps in a single
 ///                           process, bit-identical to never sharding
 ///                           (shard::runSharded, docs/SHARDING.md)
+///
+/// L001 and L008 are read off the completed rung's PlanStats::Dispatch:
+/// the refused instruction already ran one form lower, so nothing re-runs.
 ///
 /// The ladder never re-runs a rung that failed deterministically, and a
 /// one-shot injected fault is consumed by the rung it kills, so recovery
@@ -115,8 +119,6 @@ struct RecoverOptions {
   bool StrictVerify = false;
   /// Kernel registry handed to the verifier's batching audit (optional).
   const codegen::KernelRegistry *VerifyKernels = nullptr;
-  /// Statement-instance budget for the verifier gate.
-  std::int64_t VerifyBudget = std::int64_t{1} << 22;
   /// The untransformed original-schedule plan, lowered against
   /// \p FallbackStore (or the primary store when null). Must stay alive
   /// for the duration of the call.

@@ -237,12 +237,6 @@ exec::rowKernelDesc(const RowPlan &Plan, const NestInstr &Instr,
   return Desc;
 }
 
-std::optional<RowPlan> RowPlan::compile(const NestInstr &Instr,
-                                        const codegen::KernelRegistry &Kernels,
-                                        jit::Engine *Jit) {
-  return analyze(Instr, Kernels, Jit).Plan;
-}
-
 RowAnalysis RowPlan::analyze(const NestInstr &Instr,
                              const codegen::KernelRegistry &Kernels,
                              jit::Engine *Jit) {

@@ -24,7 +24,7 @@
 /// Within a segment the statement records run one after another over the
 /// whole segment, which reorders (x1, later-stmt) against (x2, earlier-
 /// stmt) for x1 < x2 relative to the scalar point-interleaved oracle.
-/// compile() proves this reordering unobservable (see the conflict rules
+/// analyze() proves this reordering unobservable (see the conflict rules
 /// in RowPlan.cpp), capping the segment length below the smallest
 /// conflicting pair's collision distance when one exists — fused schedules
 /// over storage-reduced rolling buffers batch in short segments instead of
@@ -132,7 +132,7 @@ struct RowRunCounters {
   std::int64_t Wraps = 0;
 };
 
-/// A compiled row view of one NestInstr. Immutable after compile(): the
+/// A compiled row view of one NestInstr. Immutable after analyze(): the
 /// executor keeps all mutable cursor state on its own stack, so one
 /// RowPlan may run concurrently on many workers (tile-parallel plans
 /// share the per-nest compilation across tiles' workers).
@@ -152,19 +152,14 @@ public:
   /// statement interleave, so results are bit-identical by construction.
   codegen::RowKernel Row = nullptr;
 
-  /// Compiles \p Instr for row-batched execution, or returns std::nullopt
-  /// when the instruction must stay on the scalar path: external tasks,
-  /// zero loop levels, a statement kernel without a batched body, or a
-  /// statement interleaving whose reordering cannot be proven safe.
-  /// \p Jit, when non-null, compiles the whole instruction into one fused
-  /// row kernel where possible; any JIT failure silently keeps the
-  /// interpreted bodies (never a hard error).
-  static std::optional<RowPlan> compile(const NestInstr &Instr,
-                                        const codegen::KernelRegistry &Kernels,
-                                        jit::Engine *Jit = nullptr);
-
-  /// Like compile(), but also reports why an instruction stayed scalar
-  /// and, with \p Jit, why it did or did not get a row kernel.
+  /// Compiles \p Instr for row-batched execution. RowAnalysis::Plan stays
+  /// empty, with the refusal reason, when the instruction must stay on the
+  /// scalar path: external tasks, zero loop levels, a statement kernel
+  /// without a batched body, or a statement interleaving whose reordering
+  /// cannot be proven safe. \p Jit, when non-null, compiles the whole
+  /// instruction into one fused row kernel where possible; any JIT failure
+  /// keeps the interpreted bodies (never a hard error) and is reported in
+  /// the Jit fields.
   static RowAnalysis analyze(const NestInstr &Instr,
                              const codegen::KernelRegistry &Kernels,
                              jit::Engine *Jit = nullptr);

@@ -8,6 +8,7 @@
 #include "jit/JitEngine.h"
 
 #include "obs/Trace.h"
+#include "support/Hash.h"
 
 #include <cstdio>
 #include <cstdlib>
@@ -20,6 +21,8 @@
 
 using namespace lcdfg;
 using namespace lcdfg::jit;
+using support::fnv1a;
+using support::fnv1aU64;
 
 namespace fs = std::filesystem;
 
@@ -35,22 +38,6 @@ constexpr const char *AbiTag = "lcdfg-jit-abi-1";
 /// pulling in the OpenMP runtime.
 constexpr const char *BaseFlags =
     "-O3 -fPIC -shared -fopenmp-simd -ffp-contract=off";
-
-std::uint64_t fnv1a(std::string_view S, std::uint64_t H = 0xcbf29ce484222325ull) {
-  for (unsigned char C : S) {
-    H ^= C;
-    H *= 0x100000001b3ull;
-  }
-  return H;
-}
-
-std::uint64_t fnvU64(std::uint64_t H, std::uint64_t V) {
-  for (int I = 0; I < 8; ++I) {
-    H ^= static_cast<unsigned char>(V >> (I * 8));
-    H *= 0x100000001b3ull;
-  }
-  return H;
-}
 
 std::string hexKey(std::uint64_t Key) {
   char Buf[32];
@@ -347,25 +334,25 @@ Engine::rowKernel(const codegen::RowKernelDesc &Desc) {
   // repeat lookups free of string building. The tag is the fused-walker
   // emission version: bump it whenever printRowKernel's output or the
   // RowKernel ABI changes.
-  std::uint64_t Key = fnvU64(KeyBase, 0x726f777732ULL); // "roww2"
-  Key = fnvU64(Key, Desc.Stmts.size());
-  Key = fnvU64(Key, static_cast<std::uint64_t>(Desc.MaxSegment));
+  std::uint64_t Key = fnv1aU64(KeyBase, 0x726f777732ULL); // "roww2"
+  Key = fnv1aU64(Key, Desc.Stmts.size());
+  Key = fnv1aU64(Key, static_cast<std::uint64_t>(Desc.MaxSegment));
   auto FoldStream = [&Key](const codegen::RowKernelDesc::Stream &S) {
-    Key = fnvU64(Key, S.Space);
-    Key = fnvU64(Key, S.Modulo ? 1 : 0);
-    Key = fnvU64(Key, static_cast<std::uint64_t>(S.ModSize));
-    Key = fnvU64(Key, static_cast<std::uint64_t>(S.InnerStride));
-    Key = fnvU64(Key, S.Flat);
-    Key = fnvU64(Key, S.AliasesWrite ? 1 : 0);
+    Key = fnv1aU64(Key, S.Space);
+    Key = fnv1aU64(Key, S.Modulo ? 1 : 0);
+    Key = fnv1aU64(Key, static_cast<std::uint64_t>(S.ModSize));
+    Key = fnv1aU64(Key, static_cast<std::uint64_t>(S.InnerStride));
+    Key = fnv1aU64(Key, S.Flat);
+    Key = fnv1aU64(Key, S.AliasesWrite ? 1 : 0);
   };
   for (const codegen::RowKernelDesc::Stmt &St : Desc.Stmts) {
-    Key = fnvU64(Key, static_cast<std::uint64_t>(St.Lo));
-    Key = fnvU64(Key, static_cast<std::uint64_t>(St.Hi));
+    Key = fnv1aU64(Key, static_cast<std::uint64_t>(St.Lo));
+    Key = fnv1aU64(Key, static_cast<std::uint64_t>(St.Hi));
     FoldStream(St.Write);
-    Key = fnvU64(Key, St.Reads.size());
+    Key = fnv1aU64(Key, St.Reads.size());
     for (const codegen::RowKernelDesc::Stream &R : St.Reads)
       FoldStream(R);
-    Key = St.Body ? St.Body->hash(Key) : fnvU64(Key, 0);
+    Key = St.Body ? St.Body->hash(Key) : fnv1aU64(Key, 0);
   }
 
   auto R = fetchLocked(Key, [&Desc](const std::string &Symbol) {

@@ -17,8 +17,8 @@
 ///
 /// Every failure mode — no compiler, unwritable cache, compile error,
 /// corrupt object — surfaces as an E017 Expected error, never a crash: the
-/// callers (exec::RowPlan::analyze, the recovery ladder's L008 rung) fall
-/// back to the interpreted batched bodies.
+/// caller (exec::RowPlan::analyze) falls back to the interpreted batched
+/// bodies, and the recovery ladder reports it as L008.
 ///
 /// Environment knobs (read by EngineOptions::fromEnvironment, i.e. the
 /// process-wide Engine::global()):

@@ -5,6 +5,7 @@
 #include "obs/Trace.h"
 #include "parser/PragmaParser.h"
 #include "parser/ScriptRunner.h"
+#include "support/Hash.h"
 
 #include <algorithm>
 #include <chrono>
@@ -15,15 +16,6 @@ using namespace lcdfg;
 using namespace lcdfg::serve;
 using support::ErrorCode;
 
-std::uint64_t PlanCache::hashText(std::string_view Text) {
-  std::uint64_t H = 0xcbf29ce484222325ull;
-  for (char C : Text) {
-    H ^= static_cast<unsigned char>(C);
-    H *= 0x100000001b3ull;
-  }
-  return H;
-}
-
 bool PlanCache::Key::operator<(const Key &O) const {
   return std::tie(ChainHash, ScriptHash, Size, Widen, Harden) <
          std::tie(O.ChainHash, O.ScriptHash, O.Size, O.Widen, O.Harden);
@@ -31,8 +23,8 @@ bool PlanCache::Key::operator<(const Key &O) const {
 
 PlanCache::Key PlanCache::keyOf(const RequestSpec &Spec) {
   Key K;
-  K.ChainHash = hashText(Spec.Chain);
-  K.ScriptHash = hashText(Spec.Script);
+  K.ChainHash = support::fnv1a(Spec.Chain);
+  K.ScriptHash = support::fnv1a(Spec.Script);
   K.Size = Spec.Size;
   K.Widen = Spec.Widen;
   K.Harden = Spec.Harden;

@@ -131,9 +131,6 @@ public:
   /// footprint, one strict verification.
   static support::Expected<CompiledPlanPtr> compile(const RequestSpec &Spec);
 
-  /// FNV-1a-64 over \p Text (the protocol's chain hash).
-  static std::uint64_t hashText(std::string_view Text);
-
 private:
   struct Key {
     std::uint64_t ChainHash = 0;

@@ -5,6 +5,8 @@
 #include "exec/FaultInjector.h"
 #include "exec/Recovery.h"
 #include "obs/Trace.h"
+#include "support/Hash.h"
+#include "support/StringUtils.h"
 
 #include <algorithm>
 #include <cerrno>
@@ -12,6 +14,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <sstream>
 
 #include <arpa/inet.h>
@@ -31,17 +34,6 @@ namespace {
 
 constexpr int PollSliceMs = 200;
 
-int envInt(const char *Name, int Def) {
-  const char *V = std::getenv(Name);
-  if (!V || !*V)
-    return Def;
-  char *End = nullptr;
-  long N = std::strtol(V, &End, 10);
-  if (End == V || *End)
-    return Def;
-  return static_cast<int>(N);
-}
-
 /// send() everything or report E018 (the peer is gone).
 Status sendAll(int Fd, const char *Data, std::size_t Len) {
   std::size_t Off = 0;
@@ -58,26 +50,16 @@ Status sendAll(int Fd, const char *Data, std::size_t Len) {
   return Status::ok();
 }
 
-std::uint64_t fnv1a64(const unsigned char *Data, std::size_t Len,
-                      std::uint64_t H) {
-  for (std::size_t I = 0; I < Len; ++I) {
-    H ^= Data[I];
-    H *= 0x100000001b3ull;
-  }
-  return H;
-}
-
 /// FNV-64 over the persistent spaces of \p Plan in space order — the
 /// warm-vs-cold bit-identity witness.
 std::string resultChecksum(const exec::ExecutionPlan &Plan,
                            const storage::ConcreteStorage &Store) {
-  std::uint64_t H = 0xcbf29ce484222325ull;
+  std::uint64_t H = support::FnvOffsetBasis;
   for (std::size_t S = 0; S < Plan.NumSpaces && S < Store.numSpaces(); ++S) {
     if (S < Plan.SpacePersistent.size() && !Plan.SpacePersistent[S])
       continue;
     const std::vector<double> &Buf = Store.space(S);
-    H = fnv1a64(reinterpret_cast<const unsigned char *>(Buf.data()),
-                Buf.size() * sizeof(double), H);
+    H = support::fnv1aBytes(Buf.data(), Buf.size() * sizeof(double), H);
   }
   char Hex[19];
   std::snprintf(Hex, sizeof(Hex), "%016llx",
@@ -408,7 +390,8 @@ bool Server::writeResponse(int Fd, const std::string &Line) {
     std::size_t Half = Out.size() / 2;
     if (!sendAll(Fd, Out.data(), Half))
       return false;
-    int DelayMs = envInt("LCDFG_SERVE_DELAY_MS", 50);
+    const std::int64_t DelayMs = envInt(
+        "LCDFG_SERVE_DELAY_MS", 0, std::numeric_limits<int>::max(), 50);
     std::this_thread::sleep_for(std::chrono::milliseconds(DelayMs));
     return bool(sendAll(Fd, Out.data() + Half, Out.size() - Half));
   }
@@ -696,8 +679,9 @@ std::string Server::handleRun(const JsonValue &Req) {
     RR = exec::runWithRecovery(CP->Plan, CP->Kernels, Store, ROpts);
 
     if (Spec.Checksum && RR.Completed)
-      Fnv = RR.FinalRung == "fallback" ? resultChecksum(CP->FbPlan, FbStore)
-                                       : resultChecksum(CP->Plan, Store);
+      Fnv = startsWith(RR.FinalRung, "fallback-")
+                ? resultChecksum(CP->FbPlan, FbStore)
+                : resultChecksum(CP->Plan, Store);
   }
   release(CP->AdmitBytes, Heavy);
 

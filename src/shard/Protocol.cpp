@@ -2,6 +2,8 @@
 
 #include "shard/Protocol.h"
 
+#include "support/Hash.h"
+
 #include <cerrno>
 #include <cstring>
 #include <poll.h>
@@ -34,16 +36,6 @@ std::string_view shard::frameTypeName(FrameType T) {
   return "unknown";
 }
 
-std::uint64_t shard::fnv1a(const void *Data, std::size_t Len) {
-  const auto *Bytes = static_cast<const std::uint8_t *>(Data);
-  std::uint64_t Hash = 0xcbf29ce484222325ull;
-  for (std::size_t I = 0; I < Len; ++I) {
-    Hash ^= Bytes[I];
-    Hash *= 0x100000001b3ull;
-  }
-  return Hash;
-}
-
 Channel &Channel::operator=(Channel &&O) noexcept {
   if (this != &O) {
     close();
@@ -74,7 +66,7 @@ Status Channel::send(Frame F, std::size_t TruncateTo) {
     return Status::error(ErrorCode::PeerLost, "send on a closed channel");
   F.H.Magic = FrameMagic;
   F.H.PayloadBytes = static_cast<std::uint32_t>(F.Payload.size());
-  F.H.Checksum = fnv1a(F.Payload.data(), F.Payload.size());
+  F.H.Checksum = support::fnv1aBytes(F.Payload.data(), F.Payload.size());
   const std::size_t SendBytes =
       TruncateTo < F.Payload.size() ? TruncateTo : F.Payload.size();
 
@@ -150,7 +142,7 @@ support::Expected<Frame> Channel::recv(int TimeoutMs) {
         .withSubcode("corrupt");
   F.Payload.assign(Wire.data() + sizeof(FrameHeader),
                    Wire.data() + sizeof(FrameHeader) + Body);
-  if (fnv1a(F.Payload.data(), F.Payload.size()) != F.H.Checksum)
+  if (support::fnv1aBytes(F.Payload.data(), F.Payload.size()) != F.H.Checksum)
     return Status::error(ErrorCode::ExchangeTimeout,
                          std::string(frameTypeName(F.type())) +
                              " payload checksum mismatch")

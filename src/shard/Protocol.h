@@ -81,9 +81,6 @@ struct Frame {
   std::size_t numDoubles() const { return Payload.size() / sizeof(double); }
 };
 
-/// FNV-1a-64 over \p Len bytes.
-std::uint64_t fnv1a(const void *Data, std::size_t Len);
-
 /// One end of a SEQPACKET socketpair. Move-only; closes on destruction.
 class Channel {
 public:

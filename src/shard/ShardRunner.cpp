@@ -15,6 +15,7 @@
 #include <csignal>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <map>
 #include <sstream>
 #include <sys/wait.h>
@@ -35,15 +36,6 @@ std::int64_t msSince(Clock::time_point T0) {
   return std::chrono::duration_cast<std::chrono::milliseconds>(Clock::now() -
                                                                T0)
       .count();
-}
-
-int envInt(const char *Name, int Fallback) {
-  if (const char *V = std::getenv(Name); V && *V) {
-    int Parsed = std::atoi(V);
-    if (Parsed > 0)
-      return Parsed;
-  }
-  return Fallback;
 }
 
 /// Fork-safe parallel-for over [0, Count) on plain std::threads. Workers
@@ -666,8 +658,14 @@ struct Coordinator {
 //===----------------------------------------------------------------------===//
 
 ShardOptions ShardOptions::fromEnv(ShardOptions Base) {
-  Base.TimeoutMs = envInt("LCDFG_SHARD_TIMEOUT_MS", Base.TimeoutMs);
-  Base.DelayMs = envInt("LCDFG_SHARD_DELAY_MS", Base.DelayMs);
+  // Positive milliseconds small enough that the derived deadlines (up to
+  // 8 * TimeoutMs, DelayMs + 2 * TimeoutMs) fit an int; anything else
+  // keeps the caller's value.
+  constexpr std::int64_t IntMax = std::numeric_limits<int>::max();
+  Base.TimeoutMs = static_cast<int>(
+      envInt("LCDFG_SHARD_TIMEOUT_MS", 1, IntMax / 8, Base.TimeoutMs));
+  Base.DelayMs = static_cast<int>(
+      envInt("LCDFG_SHARD_DELAY_MS", 1, IntMax / 2, Base.DelayMs));
   if (Base.DelayMs < 0)
     Base.DelayMs = 3 * Base.TimeoutMs;
   return Base;

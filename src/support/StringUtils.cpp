@@ -6,6 +6,7 @@
 #include <charconv>
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <system_error>
 
 using namespace lcdfg;
@@ -114,6 +115,15 @@ bool lcdfg::parseIntFlag(std::string_view Arg, std::string_view Prefix,
     return false;
   Out = V;
   return true;
+}
+
+std::int64_t lcdfg::envInt(const char *Name, std::int64_t Lo, std::int64_t Hi,
+                           std::int64_t Default) {
+  const char *V = std::getenv(Name);
+  std::int64_t Out = 0;
+  if (!V || !parseInt(V, Out) || Out < Lo || Out > Hi)
+    return Default;
+  return Out;
 }
 
 bool lcdfg::parseDouble(std::string_view S, double &Out) {

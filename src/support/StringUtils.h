@@ -7,7 +7,8 @@
 ///
 /// \file
 /// Small string helpers used by the omplc pragma parser, the pretty
-/// printers, every JSON writer, and the tools' numeric flags.
+/// printers, every JSON writer, and the tools' numeric flags and
+/// environment settings.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -57,6 +58,13 @@ bool parseDouble(std::string_view S, double &Out);
 /// so the tool's usage error catches it.
 bool parseIntFlag(std::string_view Arg, std::string_view Prefix,
                   std::int64_t Lo, std::int64_t Hi, std::int64_t &Out);
+
+/// The environment variable \p Name as a whole integer (parseInt) in
+/// [\p Lo, \p Hi], else \p Default: an unset, empty, malformed ("150ms")
+/// or out-of-range value leaves the setting at its default instead of
+/// half-applying it.
+std::int64_t envInt(const char *Name, std::int64_t Lo, std::int64_t Hi,
+                    std::int64_t Default);
 
 } // namespace lcdfg
 

@@ -16,6 +16,7 @@
 #include "exec/ThreadPool.h"
 #include "graph/GraphBuilder.h"
 #include "minifluxdiv/Spec.h"
+#include "obs/Trace.h"
 #include "parser/PragmaParser.h"
 #include "parser/ScriptRunner.h"
 #include "storage/ReuseDistance.h"
@@ -435,6 +436,114 @@ TEST(Recovery, ModuloCorruptionCaughtByStrictVerifyGate) {
         AnyShrunk = true;
     }
   EXPECT_FALSE(AnyShrunk);
+}
+
+namespace {
+
+double halfPlusCurrent(const std::vector<double> &Reads, double Current) {
+  return 0.5 * Reads[0] + Current;
+}
+
+void halfPlusCurrentBatched(double *W, const double *const *R,
+                            const std::int64_t *S, std::int64_t WS,
+                            std::int64_t N) {
+  for (std::int64_t I = 0; I < N; ++I)
+    W[I * WS] = 0.5 * R[0][I * S[0]] + W[I * WS];
+}
+
+} // namespace
+
+TEST(Recovery, UnsafeInterleaveDescendsL001AndBatchesTheRest) {
+  // A hand-made two-instruction plan. "pair" is the forward-dependent
+  // interleave RowPlanTest refuses (its consumer reads B(x+1), which the
+  // producer overwrites one step later in scalar order), "solo" batches.
+  // The batched rung runs pair scalar and solo batched; the ladder then
+  // reports pair's refusal as L001 without re-running anything.
+  parser::ParseResult Parsed = parser::parseLoopChain(
+      "#pragma omplc for domain(0:N) with (x) write B{(x)} read A{(x)}\n"
+      "S1: B(x) = f(A(x));\n"
+      "#pragma omplc for domain(0:N) with (x) write C{(x)} read B{(x)}\n"
+      "S2: C(x) = f(B(x));\n"
+      "#pragma omplc for domain(0:N) with (x) write E{(x)} read D{(x)}\n"
+      "S3: E(x) = f(D(x));\n");
+  ASSERT_TRUE(static_cast<bool>(Parsed)) << Parsed.Error;
+  graph::Graph G = graph::buildGraph(*Parsed.Chain);
+  storage::StoragePlan SPlan =
+      storage::StoragePlan::build(G, /*UseAllocation=*/false);
+  const ParamEnv Env{{"N", 7}};
+  auto Seeded = [&] {
+    storage::ConcreteStorage Store(SPlan, Env);
+    for (std::size_t S = 0; S < Store.numSpaces(); ++S)
+      for (std::size_t E = 0; E < Store.space(S).size(); ++E)
+        Store.space(S)[E] = 1.0 + 0.01 * static_cast<double>(31 * S + E);
+    return Store;
+  };
+  storage::ConcreteStorage Store = Seeded();
+
+  codegen::KernelRegistry Kernels;
+  const int K = Kernels.add(halfPlusCurrent, halfPlusCurrentBatched);
+  auto Direct = [&](const char *Array, std::int64_t Offset) {
+    Stream S;
+    S.Space = Store.resolve(Array).Space;
+    S.Base = Offset;
+    S.LevelStrides = {1};
+    return S;
+  };
+  auto Record = [&](Stream Write, Stream Read) {
+    StmtRecord R;
+    R.KernelId = K;
+    R.Write = std::move(Write);
+    R.Reads = {std::move(Read)};
+    return R;
+  };
+  ExecutionPlan Plan;
+  NestInstr Pair;
+  Pair.Label = "pair";
+  Pair.Loops = {LoopLevel{"x", 0, 6}};
+  Pair.Stmts = {Record(Direct("B", 0), Direct("A", 0)),
+                Record(Direct("C", 0), Direct("B", 1))};
+  NestInstr Solo;
+  Solo.Label = "solo";
+  Solo.Loops = {LoopLevel{"x", 0, 7}};
+  Solo.Stmts = {Record(Direct("E", 0), Direct("D", 0))};
+  Plan.Instrs = {Pair, Solo};
+  Plan.Tasks = {PlanTask{0, {}}, PlanTask{1, {}}};
+  Plan.NumSpaces = Store.numSpaces();
+  Plan.SpacePersistent.assign(Plan.NumSpaces, true);
+
+  storage::ConcreteStorage Ref = Seeded();
+  RunOptions Scalar;
+  Scalar.Batched = false;
+  Scalar.Threads = 1;
+  runPlan(Plan, Kernels, Ref, Scalar);
+
+  RecoverOptions Opts;
+  Opts.Run.Threads = 1;
+  obs::Tracer &Tr = obs::Tracer::global();
+  Tr.enable();
+  RunReport R = runWithRecovery(Plan, Kernels, Store, Opts);
+  obs::Trace T = Tr.drain();
+  Tr.disable();
+
+  EXPECT_TRUE(R.Completed) << R.toString();
+  EXPECT_TRUE(R.Recovered) << R.toString();
+  ASSERT_EQ(R.Descents.size(), 1u) << R.toString();
+  EXPECT_EQ(R.Descents[0].Reason, ReasonBatchedRefusal);
+  EXPECT_EQ(R.Descents[0].Rung, "batched-serial");
+  EXPECT_EQ(R.Descents[0].Detail,
+            "instruction pair: no safe segment cap provable");
+  EXPECT_EQ(R.FinalRung, "scalar-serial");
+  ASSERT_EQ(R.Stats.Dispatch.size(), 2u);
+  EXPECT_EQ(R.Stats.Dispatch[0].Refusal, RowRefusal::UnsafeInterleave);
+  EXPECT_EQ(R.Stats.Dispatch[1].Refusal, RowRefusal::None);
+  // One rung ran: solo batched, pair on the scalar interpreter.
+  EXPECT_EQ(T.counter(obs::Counter::RecoveryRuns), 1);
+  EXPECT_EQ(T.counter(obs::Counter::BatchedInstrs), 1);
+  EXPECT_EQ(T.counter(obs::Counter::ScalarInstrs), 1);
+  for (std::size_t S = 0; S < Store.numSpaces(); ++S)
+    for (std::size_t E = 0; E < Store.space(S).size(); ++E)
+      EXPECT_EQ(Store.space(S)[E], Ref.space(S)[E])
+          << "space " << S << " element " << E;
 }
 
 TEST(Recovery, TruncatedInputTerminatesStructurally) {

@@ -135,7 +135,7 @@ struct MicroHarness {
       TA.push_back(A[S].data());
       TB.push_back(B[S].data());
     }
-    std::optional<RowPlan> RP = RowPlan::compile(I, Kernels);
+    std::optional<RowPlan> RP = RowPlan::analyze(I, Kernels).Plan;
     ASSERT_TRUE(RP.has_value());
     std::int64_t Points = 0, RawReads = 0;
     RP->run(TA.data(), Points, RawReads);
@@ -285,7 +285,7 @@ TEST(RowPlanMicro, FusedProducerConsumerThroughModuloBufferIsSafe) {
 TEST(RowPlanMicro, ForwardConflictAtDistanceTwoCapsSegments) {
   // Statement 2 reads what statement 1 writes two positions AHEAD
   // (c = +2): the consumer must see the pre-update value, so batching is
-  // legal only in segments of at most the collision distance. compile()
+  // legal only in segments of at most the collision distance. analyze()
   // must cap MaxSegment at 2 and the capped walk must stay bit-identical.
   MicroHarness H;
   H.addSpace(16); // space 0: producer target / consumer source
@@ -303,7 +303,7 @@ TEST(RowPlanMicro, ForwardConflictAtDistanceTwoCapsSegments) {
   C.Write = directStream(2, 0, {1});
   C.Reads = {directStream(0, 2, {1})};
   I.Stmts.push_back(C);
-  std::optional<RowPlan> RP = RowPlan::compile(I, H.Kernels);
+  std::optional<RowPlan> RP = RowPlan::analyze(I, H.Kernels).Plan;
   ASSERT_TRUE(RP.has_value());
   EXPECT_EQ(RP->MaxSegment, 2);
   H.check(I, 2 * 12, 2 * 12);
@@ -319,7 +319,9 @@ TEST(RowPlanCompile, RefusesScalarOnlyKernels) {
   S.Write = directStream(0, 0, {1});
   S.Reads = {directStream(1, 0, {1})};
   I.Stmts.push_back(S);
-  EXPECT_FALSE(RowPlan::compile(I, Kernels).has_value());
+  RowAnalysis RA = RowPlan::analyze(I, Kernels);
+  EXPECT_FALSE(RA.Plan.has_value());
+  EXPECT_EQ(RA.Refusal, RowRefusal::NoBatchedKernel);
 }
 
 TEST(RowPlanCompile, RefusesForwardDependentInterleaving) {
@@ -341,16 +343,22 @@ TEST(RowPlanCompile, RefusesForwardDependentInterleaving) {
   C.Write = directStream(2, 0, {1});
   C.Reads = {directStream(0, 1, {1})};
   I.Stmts.push_back(C);
-  EXPECT_FALSE(RowPlan::compile(I, Kernels).has_value());
+  RowAnalysis RA = RowPlan::analyze(I, Kernels);
+  EXPECT_FALSE(RA.Plan.has_value());
+  EXPECT_EQ(RA.Refusal, RowRefusal::UnsafeInterleave);
 }
 
 TEST(RowPlanCompile, RefusesExternalAndLooplessInstructions) {
   codegen::KernelRegistry Kernels;
   NestInstr External;
   External.External = [](int) {};
-  EXPECT_FALSE(RowPlan::compile(External, Kernels).has_value());
+  RowAnalysis RA = RowPlan::analyze(External, Kernels);
+  EXPECT_FALSE(RA.Plan.has_value());
+  EXPECT_EQ(RA.Refusal, RowRefusal::External);
   NestInstr Loopless; // no loop levels, no statements
-  EXPECT_FALSE(RowPlan::compile(Loopless, Kernels).has_value());
+  RA = RowPlan::analyze(Loopless, Kernels);
+  EXPECT_FALSE(RA.Plan.has_value());
+  EXPECT_EQ(RA.Refusal, RowRefusal::NoLoops);
 }
 
 //===----------------------------------------------------------------------===//

@@ -524,6 +524,36 @@ TEST(JitRecovery, WorkingEngineCompilesAndStaysBitIdentical) {
     EXPECT_EQ(Expected[I], Got[I]) << "flat index " << I;
 }
 
+TEST(JitRecovery, OneRowKernelRequestPerSpecializedInstruction) {
+  // runPlan's analysis is the only one on the run path: the ladder reads
+  // its L001/L008 verdicts from the run's dispatch record instead of
+  // asking the engine again, so one recovering run requests exactly one
+  // row kernel per specialized instruction.
+  Harness S(8);
+  Engine Eng(optsFor(freshCacheDir("once")));
+  if (!Eng.available())
+    GTEST_SKIP() << "no host compiler: " << Eng.unavailableReason();
+
+  storage::ConcreteStorage Store = S.freshStore();
+  exec::ExecutionPlan Plan =
+      exec::ExecutionPlan::fromChain(S.Chain, Store, S.Env);
+  exec::RecoverOptions RO;
+  RO.Run.Batched = true;
+  RO.Run.Threads = 1;
+  RO.Run.Kernels = exec::KernelMode::Jit;
+  RO.Run.Jit = &Eng;
+  exec::RunReport R = exec::runWithRecovery(Plan, S.Kernels, Store, RO);
+  ASSERT_TRUE(R.Completed) << R.toString();
+  EXPECT_TRUE(R.Descents.empty()) << R.toString();
+
+  ASSERT_EQ(R.Stats.Dispatch.size(), Plan.Instrs.size());
+  std::int64_t Specialized = 0;
+  for (const exec::PlanStats::DispatchStat &D : R.Stats.Dispatch)
+    Specialized += D.Jit == exec::JitRefusal::Specialized;
+  EXPECT_GT(Specialized, 0);
+  EXPECT_EQ(Eng.stats().Compiled + Eng.stats().CacheHits, Specialized);
+}
+
 //===----------------------------------------------------------------------===//
 // Instructions with no row kernel: benign refusals stay interpreted and
 // silent, and an instruction that runs nothing falls back from nothing.

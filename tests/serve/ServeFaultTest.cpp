@@ -154,6 +154,25 @@ TEST_F(ServeFaultTest, KernelThrowIsRecoveredNotAnError) {
   EXPECT_EQ(R->find("result_fnv")->asString(), BaselineFnv);
 }
 
+TEST_F(ServeFaultTest, TruncatedInputHashesTheFallbackStore) {
+  // input:truncate shrinks a space of the request's primary store, so
+  // plan validation fails deterministically (L006) and the ladder
+  // completes on the fallback plan against its own store. result_fnv
+  // must hash that store, which holds the answer, not the abandoned one.
+  auto C = Client::connectUnix(Opts.UnixPath);
+  ASSERT_TRUE(bool(C));
+  exec::FaultInjector::global().arm(spec("input:truncate"));
+
+  auto R = C->request(baseRequest().line(), 30000);
+  ASSERT_TRUE(bool(R)) << R.error().toString();
+  EXPECT_TRUE(R->find("ok")->asBool());
+  const JsonValue *Report = R->find("report");
+  ASSERT_NE(Report, nullptr);
+  EXPECT_EQ(Report->find("final_rung")->asString().rfind("fallback-", 0), 0u)
+      << Report->find("final_rung")->asString();
+  EXPECT_EQ(R->find("result_fnv")->asString(), BaselineFnv);
+}
+
 TEST_F(ServeFaultTest, FaultedRequestIsIsolatedFromConcurrentCleanOnes) {
   // Arm one drop; fire 1 + 4 concurrent requests. Exactly one client sees
   // E018; every completed response is bit-identical to the baseline.

@@ -35,14 +35,6 @@ Frame makeHaloFrame(const std::vector<double> &Vals) {
   return F;
 }
 
-TEST(Fnv1a, MatchesTheReferenceVectors) {
-  // Offset basis for empty input; the single-byte vectors are from the
-  // published FNV-1a test suite.
-  EXPECT_EQ(fnv1a("", 0), 0xcbf29ce484222325ull);
-  const char A = 'a';
-  EXPECT_EQ(fnv1a(&A, 1), 0xaf63dc4c8601ec8cull);
-}
-
 TEST(Channel, RoundTripsAFrame) {
   auto Pair = Channel::makePair();
   ASSERT_TRUE(Pair);

@@ -20,6 +20,7 @@
 #include "gtest/gtest.h"
 
 #include <cstdint>
+#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -99,6 +100,30 @@ OracleAndRun runBoth(const rt::GridLayout &Layout, int N, int G, int NumComp,
   R.Sharded = makeState(Layout, N, G, NumComp);
   R.Report = runSharded(R.Sharded, Layout, Steps, averageStep, Opts);
   return R;
+}
+
+TEST(ShardOptions, FromEnvKeepsTheBaseOnMalformedMilliseconds) {
+  // Both settings are positive milliseconds, read whole: a unit suffix, a
+  // non-positive value or one whose derived deadlines would overflow an
+  // int keeps the caller's value.
+  ShardOptions Base;
+  Base.TimeoutMs = 400;
+  Base.DelayMs = 20;
+  for (const char *Bad :
+       {"150ms", "0", "-5", "2147483647", "4294967346", "abc"}) {
+    ::setenv("LCDFG_SHARD_TIMEOUT_MS", Bad, 1);
+    ::setenv("LCDFG_SHARD_DELAY_MS", Bad, 1);
+    ShardOptions O = ShardOptions::fromEnv(Base);
+    EXPECT_EQ(O.TimeoutMs, 400) << Bad;
+    EXPECT_EQ(O.DelayMs, 20) << Bad;
+  }
+  ::setenv("LCDFG_SHARD_TIMEOUT_MS", "150", 1);
+  ::setenv("LCDFG_SHARD_DELAY_MS", "30", 1);
+  ShardOptions O = ShardOptions::fromEnv(Base);
+  EXPECT_EQ(O.TimeoutMs, 150);
+  EXPECT_EQ(O.DelayMs, 30);
+  ::unsetenv("LCDFG_SHARD_TIMEOUT_MS");
+  ::unsetenv("LCDFG_SHARD_DELAY_MS");
 }
 
 TEST(ShardRunner, SingleShardMatchesTheSerialReference) {

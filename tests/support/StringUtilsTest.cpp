@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <limits>
+
 using namespace lcdfg;
 
 TEST(StringUtils, Trim) {
@@ -66,4 +69,65 @@ TEST(StringUtils, ParseIntFlagChecksPrefixWholeValueAndRange) {
   EXPECT_EQ(V, 7) << "a rejected value leaves Out untouched";
   EXPECT_TRUE(parseIntFlag("--mb=-3", "--mb=", -3, 3, V));
   EXPECT_EQ(V, -3);
+}
+
+namespace {
+
+/// Sets one environment variable for a test and restores "unset" after.
+struct ScopedEnv {
+  const char *Name;
+  ScopedEnv(const char *N, const char *Value) : Name(N) {
+    ::setenv(Name, Value, 1);
+  }
+  ~ScopedEnv() { ::unsetenv(Name); }
+};
+
+constexpr const char *TestVar = "LCDFG_TEST_ENV_INT";
+constexpr std::int64_t IntMax = std::numeric_limits<int>::max();
+
+} // namespace
+
+TEST(EnvInt, UnsetOrEmptyKeepsDefault) {
+  ::unsetenv(TestVar);
+  EXPECT_EQ(envInt(TestVar, 0, IntMax, 50), 50);
+  ScopedEnv E(TestVar, "");
+  EXPECT_EQ(envInt(TestVar, 0, IntMax, 50), 50);
+}
+
+TEST(EnvInt, WholeValueInRangeIsTaken) {
+  ScopedEnv E(TestVar, "150");
+  EXPECT_EQ(envInt(TestVar, 1, IntMax, 2000), 150);
+  EXPECT_EQ(envInt(TestVar, 150, 150, 2000), 150);
+}
+
+TEST(EnvInt, TrailingUnitKeepsDefault) {
+  // atoi read "150ms" as 150.
+  ScopedEnv E(TestVar, "150ms");
+  EXPECT_EQ(envInt(TestVar, 1, IntMax, 2000), 2000);
+}
+
+TEST(EnvInt, NonNumberKeepsDefault) {
+  ScopedEnv E(TestVar, "abc");
+  EXPECT_EQ(envInt(TestVar, 0, IntMax, 50), 50);
+  ScopedEnv Spaced(TestVar, " 5");
+  EXPECT_EQ(envInt(TestVar, 0, IntMax, 50), 50);
+}
+
+TEST(EnvInt, PastIntRangeKeepsDefault) {
+  // strtol then static_cast<int> read 4294967346 (2^32 + 50) as 50.
+  ScopedEnv E(TestVar, "4294967346");
+  EXPECT_EQ(envInt(TestVar, 0, IntMax, 7), 7);
+}
+
+TEST(EnvInt, PastInt64KeepsDefault) {
+  ScopedEnv E(TestVar, "99999999999999999999");
+  EXPECT_EQ(envInt(TestVar, 0, IntMax, 7), 7);
+}
+
+TEST(EnvInt, BelowRangeKeepsDefault) {
+  ScopedEnv Zero(TestVar, "0");
+  EXPECT_EQ(envInt(TestVar, 1, IntMax, 2000), 2000);
+  ScopedEnv Negative(TestVar, "-5");
+  EXPECT_EQ(envInt(TestVar, 1, IntMax, 2000), 2000);
+  EXPECT_EQ(envInt(TestVar, -5, IntMax, 2000), -5);
 }

@@ -27,7 +27,7 @@ using namespace lcdfg::verify;
 
 namespace {
 
-/// Batched stand-in body: RowPlan::compile requires one per statement, but
+/// Batched stand-in body: RowPlan::analyze requires one per statement, but
 /// nothing in these tests ever executes it.
 void batchedNop(double *, const double *const *, const std::int64_t *,
                 std::int64_t, std::int64_t) {}

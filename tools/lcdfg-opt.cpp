@@ -66,7 +66,6 @@
 #include "exec/PlanRunner.h"
 #include "exec/Recovery.h"
 #include "exec/RowPlan.h"
-#include "jit/JitEngine.h"
 #include "obs/Trace.h"
 #include "obs/TraceCheck.h"
 #include "graph/AutoScheduler.h"
@@ -561,37 +560,33 @@ int runTool(int argc, char **argv) {
       ROpts.VerifyKernels = &Kernels;
       ROpts.Fallback = &L.FbPlan;
       ROpts.FallbackStore = &FbStore;
+      exec::RunReport RR =
+          exec::runWithRecovery(Plan, Kernels, ReportStore, ROpts);
       if (!ReportJson) {
-        // Per-instruction dispatch breakdown, separating the two refusal
-        // dimensions: an instruction may batch fine yet stay on the
-        // interpreted bodies (and vice versa the JIT column only applies
-        // where batching engaged at all).
-        jit::Engine *Eng =
-            exec::effectiveKernelMode(KernelMode) == exec::KernelMode::Jit
-                ? &jit::Engine::global()
-                : nullptr;
-        for (const exec::NestInstr &I : Plan.Instrs) {
-          if (I.External)
+        // The completed run's dispatch, one refusal dimension per column:
+        // an instruction may batch fine yet stay on the interpreted bodies.
+        // A scalar run has no record.
+        const bool Jit =
+            exec::effectiveKernelMode(KernelMode) == exec::KernelMode::Jit;
+        for (const exec::PlanStats::DispatchStat &D : RR.Stats.Dispatch) {
+          if (D.Refusal == exec::RowRefusal::External)
             continue;
-          exec::RowAnalysis RA = exec::RowPlan::analyze(I, Kernels, Eng);
-          OS << "dispatch " << I.Label << ": batched=";
-          if (RA.Plan)
+          const bool Batched = D.Refusal == exec::RowRefusal::None;
+          OS << "dispatch " << D.Label << ": batched=";
+          if (Batched)
             OS << "yes";
           else
-            OS << "no (" << exec::rowRefusalName(RA.Refusal) << ")";
-          if (Eng) {
-            OS << " jit=" << exec::jitRefusalName(RA.Jit);
-            if (RA.Plan)
-              OS << " (" << RA.JitStmts << "/" << RA.Plan->Stmts.size()
-                 << " stmts)";
-            if (!RA.JitDetail.empty())
-              OS << " [" << RA.JitDetail << "]";
+            OS << "no (" << exec::rowRefusalName(D.Refusal) << ")";
+          if (Jit) {
+            OS << " jit=" << exec::jitRefusalName(D.Jit);
+            if (Batched)
+              OS << " (" << D.JitStmts << "/" << D.Stmts << " stmts)";
+            if (!D.JitDetail.empty())
+              OS << " [" << D.JitDetail << "]";
           }
           OS << "\n";
         }
       }
-      exec::RunReport RR =
-          exec::runWithRecovery(Plan, Kernels, ReportStore, ROpts);
       OS << (ReportJson ? RR.toJson() + "\n" : RR.toString());
       if (!RR.Completed)
         ReportFailed = true;
