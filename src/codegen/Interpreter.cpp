@@ -8,17 +8,24 @@
 using namespace lcdfg;
 using namespace lcdfg::codegen;
 
-int KernelRegistry::add(Kernel K, BatchedKernel B) {
+int KernelRegistry::insert(Kernel K, BatchedKernel B,
+                           std::optional<KernelExpr> E) {
   Kernels.push_back(std::move(K));
   BatchedKernels.push_back(B);
-  Exprs.emplace_back();
+  Exprs.push_back(std::move(E));
   return static_cast<int>(Kernels.size() - 1);
 }
 
-int KernelRegistry::add(Kernel K, BatchedKernel B, KernelExpr E) {
-  int Id = add(std::move(K), B);
-  Exprs[static_cast<std::size_t>(Id)] = std::move(E);
-  return Id;
+int KernelRegistry::add(Kernel K, BatchedKernel B) {
+  return insert(std::move(K), B, std::nullopt);
+}
+
+int KernelRegistry::add(KernelExpr E) {
+  return insert(
+      [E](const std::vector<double> &Reads, double Current) {
+        return E.eval(Reads, Current);
+      },
+      nullptr, E);
 }
 
 const KernelRegistry::Kernel &KernelRegistry::get(int Id) const {

@@ -21,9 +21,12 @@
 
 #include "codegen/KernelExpr.h"
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <optional>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 namespace lcdfg {
@@ -39,38 +42,96 @@ using BatchedKernel = void (*)(double *Write, const double *const *Reads,
                                const std::int64_t *ReadStrides,
                                std::int64_t WriteStride, std::int64_t N);
 
+namespace detail {
+
+// The three instantiations behind KernelRegistry::define. apply() passes
+// W, the write's current value, to accumulating bodies only.
+template <typename Body, bool Acc, typename T, typename... Ts>
+auto apply([[maybe_unused]] T W, Ts... Reads) {
+  if constexpr (Acc)
+    return Body{}(W, Reads...);
+  else
+    return Body{}(Reads...);
+}
+
+template <typename Body, bool Acc, std::size_t... J>
+double scalarForm(const std::vector<double> &Reads, double W,
+                  std::index_sequence<J...>) {
+  return apply<Body, Acc>(W, Reads[J]...);
+}
+
+// Operand pointers and strides are hoisted out of the ascending row loop.
+template <typename Body, bool Acc, std::size_t... J>
+void batchedForm(double *W, const double *const *R, const std::int64_t *S,
+                 std::int64_t WS, std::int64_t N, std::index_sequence<J...>) {
+  [[maybe_unused]] const double *const Ptr[] = {R[J]..., nullptr};
+  [[maybe_unused]] const std::int64_t Stride[] = {S[J]..., 0};
+  for (std::int64_t I = 0; I < N; ++I)
+    W[I * WS] = apply<Body, Acc>(W[I * WS], Ptr[J][I * Stride[J]]...);
+}
+
+template <typename Body, bool Acc, std::size_t... J>
+KernelExpr exprForm(std::index_sequence<J...>) {
+  return KernelExpr(apply<Body, Acc>(
+      KernelExpr::current(), KernelExpr::read(static_cast<unsigned>(J))...));
+}
+
+} // namespace detail
+
 /// A registry of executable statement bodies. A kernel receives the values
 /// of its reads (flattened in declaration order: per read access, per
 /// stencil point) plus the current value of the write location (so that
 /// accumulating statements like the flux-difference updates can be
 /// expressed) and returns the value to store.
 ///
-/// A kernel may additionally carry a batched body (see BatchedKernel): the
-/// plan runner calls it for whole wrap-free row segments instead of
-/// dispatching the scalar std::function per point. The two forms must be
-/// arithmetically identical expression by expression — the scalar form is
-/// the bit-equality oracle the batched path is tested against.
+/// A kernel the JIT may compile has one definition (define), from which
+/// the registry derives the scalar body (the bit-equality oracle), the
+/// batched row body (see BatchedKernel) and the KernelExpr the JIT emits:
+/// the same C++ expression over double and over KernelExpr leaves, so the
+/// three agree by construction.
 class KernelRegistry {
 public:
   using Kernel =
       std::function<double(const std::vector<double> &Reads, double Current)>;
 
-  /// Registers a kernel; the returned id goes into LoopNest::KernelId.
+  /// Registers the kernel defined by the captureless generic lambda \p Body
+  /// and returns its id (it goes into LoopNest::KernelId). \p Body takes
+  /// the write's current value first when \p Accumulates, then \p Arity
+  /// reads:
+  ///
+  ///   define<2, /*Accumulates=*/true>(
+  ///       [](auto W, auto R0, auto R1) { return W + 0.5 * (R1 - R0); });
+  template <std::size_t Arity, bool Accumulates = false, typename Body>
+  int define(Body) {
+    static_assert(std::is_empty_v<Body>, "a definition captures nothing");
+    using Js = std::make_index_sequence<Arity>;
+    return insert(
+        [](const std::vector<double> &Reads, double W) {
+          return detail::scalarForm<Body, Accumulates>(Reads, W, Js());
+        },
+        [](double *W, const double *const *R, const std::int64_t *S,
+           std::int64_t WS, std::int64_t N) {
+          detail::batchedForm<Body, Accumulates>(W, R, S, WS, N, Js());
+        },
+        detail::exprForm<Body, Accumulates>(Js()));
+  }
+
+  /// Registers an opaque kernel, which stays on the interpreted paths;
   /// \p B, when given, is the batched form of the same body.
   int add(Kernel K, BatchedKernel B = nullptr);
-  /// Registers a kernel with an expression form alongside the scalar and
-  /// batched bodies. \p E must compute the same value as \p K — it is what
-  /// the JIT backend re-emits as specialized C per segment shape.
-  int add(Kernel K, BatchedKernel B, KernelExpr E);
+  /// Registers the kernel defined by the expression \p E alone, for an
+  /// arity known only at run time: its scalar body is E.eval; it has no
+  /// batched body.
+  int add(KernelExpr E);
   const Kernel &get(int Id) const;
-  /// The batched body of kernel \p Id, or nullptr when only the scalar
-  /// form was registered.
+  /// The batched body of kernel \p Id, or nullptr when it has none.
   BatchedKernel batched(int Id) const;
-  /// The expression form of kernel \p Id, or nullptr when none was
-  /// registered (opaque kernels stay on the interpreted paths).
+  /// The expression form of kernel \p Id, or nullptr for opaque kernels.
   const KernelExpr *expr(int Id) const;
 
 private:
+  int insert(Kernel K, BatchedKernel B, std::optional<KernelExpr> E);
+
   std::vector<Kernel> Kernels;
   std::vector<BatchedKernel> BatchedKernels;
   std::vector<std::optional<KernelExpr>> Exprs;

@@ -26,11 +26,11 @@ struct KernelExpr::Node {
 KernelExpr::KernelExpr(std::shared_ptr<const Node> RootIn)
     : Root(std::move(RootIn)) {}
 
-KernelExpr KernelExpr::lit(double V) {
+KernelExpr::KernelExpr(double V) {
   auto N = std::make_shared<Node>();
   N->K = Kind::Const;
   N->Value = V;
-  return KernelExpr(std::move(N));
+  Root = std::move(N);
 }
 
 KernelExpr KernelExpr::read(unsigned J) {
@@ -55,8 +55,6 @@ KernelExpr KernelExpr::binary(Kind K, const KernelExpr &L,
   return KernelExpr(std::move(N));
 }
 
-KernelExpr::Kind KernelExpr::kind() const { return Root->K; }
-
 KernelExpr operator+(const KernelExpr &L, const KernelExpr &R) {
   return KernelExpr::binary(KernelExpr::Kind::Add, L, R);
 }
@@ -80,18 +78,6 @@ int maxReadOf(const KernelExpr::Node &N) {
     return static_cast<int>(N.Index);
   default:
     return std::max(maxReadOf(*N.L), maxReadOf(*N.R));
-  }
-}
-
-bool usesCurrentOf(const KernelExpr::Node &N) {
-  switch (N.K) {
-  case KernelExpr::Kind::Const:
-  case KernelExpr::Kind::Read:
-    return false;
-  case KernelExpr::Kind::Current:
-    return true;
-  default:
-    return usesCurrentOf(*N.L) || usesCurrentOf(*N.R);
   }
 }
 
@@ -169,8 +155,6 @@ double evalNode(const KernelExpr::Node &N, const std::vector<double> &Reads,
 } // namespace
 
 int KernelExpr::maxRead() const { return maxReadOf(*Root); }
-
-bool KernelExpr::usesCurrent() const { return usesCurrentOf(*Root); }
 
 std::string
 KernelExpr::render(const std::function<std::string(unsigned)> &Read,

@@ -7,14 +7,14 @@
 ///
 /// \file
 /// A tiny expression tree describing one statement body as IEEE double
-/// arithmetic over its operand streams. The interpreter's kernels are opaque
-/// C++ callables; a KernelExpr attached alongside them is the transparent
-/// form the JIT backend can re-emit as specialized C (src/jit). Nodes are
+/// arithmetic over its operand streams: the transparent form of a kernel
+/// that the JIT backend re-emits as specialized C (src/jit). Nodes are
 /// immutable and shared, so copies are cheap and expressions can be built
-/// with ordinary operator syntax:
+/// with ordinary operator syntax (KernelRegistry::define does so from a
+/// kernel's one definition); a double operand becomes a literal:
 ///
-///   KernelExpr F1 = lit(FluxC1) * (read(1) + read(2))
-///                 - lit(FluxC2) * (read(0) + read(3));
+///   KernelExpr F1 = FluxC1 * (read(1) + read(2))
+///                 - FluxC2 * (read(0) + read(3));
 ///
 /// `current()` denotes the present value of the write location (the W[...]
 /// operand of accumulating statements); `read(J)` the J-th operand stream.
@@ -50,20 +50,15 @@ public:
     Mul,
   };
 
+  /// A literal. Implicit, so double constants mix into expressions.
+  KernelExpr(double V);
   /// Leaf builders. Binary nodes come from the operator overloads below.
-  static KernelExpr lit(double V);
   static KernelExpr read(unsigned J);
   static KernelExpr current();
-
-  Kind kind() const;
 
   /// Highest read index referenced anywhere in the tree, or -1 when the
   /// expression touches no operand stream.
   int maxRead() const;
-
-  /// True when the tree references current() — the statement accumulates
-  /// into its write location rather than overwriting it.
-  bool usesCurrent() const;
 
   /// Renders the tree as a C expression. \p Read maps an operand index to
   /// its access text (e.g. "R1[I * 3]"); \p Current is the text for the
@@ -77,7 +72,7 @@ public:
 
   /// Scalar evaluation mirroring the interpreter: \p Reads holds one value
   /// per operand stream, \p Current the write location's present value.
-  /// Lets tests cross-check an expression against its registered lambda.
+  /// The scalar body of kernels registered as a bare expression.
   double eval(const std::vector<double> &Reads, double Current) const;
 
   /// FNV-1a over a canonical pre-order walk of the tree, folded into
@@ -105,7 +100,6 @@ KernelExpr operator*(const KernelExpr &L, const KernelExpr &R);
 
 /// Shorthand builders, so expression sites read like the formulas they
 /// encode (see the file comment).
-inline KernelExpr lit(double V) { return KernelExpr::lit(V); }
 inline KernelExpr read(unsigned J) { return KernelExpr::read(J); }
 inline KernelExpr current() { return KernelExpr::current(); }
 

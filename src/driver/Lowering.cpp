@@ -6,7 +6,6 @@
 #include "graph/GraphBuilder.h"
 #include "verify/PlanVerifier.h"
 
-#include <array>
 #include <map>
 #include <utility>
 
@@ -15,33 +14,26 @@ using namespace lcdfg::driver;
 
 namespace {
 
-/// Batched stand-in body, one instantiation per read arity (the batched ABI
-/// fixes the arity per kernel).
-template <bool Pure, int Arity>
-void batchedSum(double *W, const double *const *R, const std::int64_t *S,
-                std::int64_t WS, std::int64_t N) {
-  for (std::int64_t I = 0; I < N; ++I) {
-    double Sum = Pure ? 0.0 : W[I * WS];
-    for (int J = 0; J < Arity; ++J)
-      Sum += R[J][I * S[J]];
-    W[I * WS] = Sum;
-  }
-}
+/// The stand-in's one definition: a left fold of + over its operands —
+/// the target's current value first when accumulating, 0.0 first when pure.
+template <bool Pure>
+constexpr auto SumOfReads = [](auto... Ops) {
+  if constexpr (Pure)
+    return (0.0 + ... + Ops);
+  else
+    return (... + Ops);
+};
 
-template <bool Pure, int... Arity>
-constexpr std::array<codegen::BatchedKernel, sizeof...(Arity)>
-batchedTable(std::integer_sequence<int, Arity...>) {
-  return {batchedSum<Pure, Arity>...};
-}
-
-codegen::BatchedKernel batchedSumForArity(std::size_t Arity, bool Pure) {
-  static constexpr auto Acc =
-      batchedTable<false>(std::make_integer_sequence<int, 9>());
-  static constexpr auto PureT =
-      batchedTable<true>(std::make_integer_sequence<int, 9>());
-  if (Arity >= Acc.size())
-    return nullptr;
-  return Pure ? PureT[Arity] : Acc[Arity];
+/// Registers the stand-in for the compile-time arity equal to \p Arity
+/// among \p Arities, or returns -1 when none is.
+template <bool Pure, std::size_t... Arities>
+int defineStandIn(codegen::KernelRegistry &Kernels, std::size_t Arity,
+                  std::index_sequence<Arities...>) {
+  int Id = -1;
+  ((Arity == Arities &&
+    (Id = Kernels.define<Arities, !Pure>(SumOfReads<Pure>), true)) ||
+   ...);
+  return Id;
 }
 
 std::int64_t storageBytes(const storage::ConcreteStorage &Store) {
@@ -55,17 +47,18 @@ std::int64_t storageBytes(const storage::ConcreteStorage &Store) {
 
 int driver::addStandInKernel(codegen::KernelRegistry &Kernels,
                              std::size_t Arity, bool Pure) {
-  codegen::KernelExpr E = Pure ? codegen::lit(0.0) : codegen::current();
+  constexpr auto Batched = std::make_index_sequence<9>();
+  int Id = Pure ? defineStandIn<true>(Kernels, Arity, Batched)
+                : defineStandIn<false>(Kernels, Arity, Batched);
+  if (Id >= 0)
+    return Id;
+  // Wider stand-ins have no batched body. Their expression is the same
+  // fold, taken one read at a time, and is also their scalar body.
+  codegen::KernelExpr E =
+      Pure ? codegen::KernelExpr(SumOfReads<true>()) : codegen::current();
   for (std::size_t J = 0; J < Arity; ++J)
-    E = E + codegen::read(static_cast<unsigned>(J));
-  return Kernels.add(
-      [Pure](const std::vector<double> &Reads, double Current) {
-        double Sum = Pure ? 0.0 : Current;
-        for (double R : Reads)
-          Sum += R;
-        return Sum;
-      },
-      batchedSumForArity(Arity, Pure), std::move(E));
+    E = SumOfReads<false>(E, codegen::read(static_cast<unsigned>(J)));
+  return Kernels.add(std::move(E));
 }
 
 void driver::assignStandInKernels(ir::LoopChain &Chain,

@@ -50,9 +50,9 @@ namespace driver {
 /// id. The accumulating form adds the reads to the target's current value;
 /// the \p Pure form (hardened runs) starts from 0.0, because under
 /// NaN-poisoned temporaries reading the unwritten target is exactly the
-/// read-before-write the guard flags. All three bodies add in the same
-/// left-associated order, so interpreted, batched and JIT runs are
-/// bit-identical; the batched body exists for arities up to 8.
+/// read-before-write the guard flags. The scalar, batched and expression
+/// bodies derive from one left fold, so interpreted, batched and JIT runs
+/// are bit-identical; the batched body exists for arities up to 8.
 int addStandInKernel(codegen::KernelRegistry &Kernels, std::size_t Arity,
                      bool Pure);
 

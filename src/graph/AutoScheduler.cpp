@@ -131,25 +131,23 @@ AutoScheduleResult graph::autoSchedule(Graph &G,
 
     std::vector<NodeId> Live = liveStmts(G);
 
-    if (Options.AllowProducerConsumer) {
-      for (NodeId V = 0; V < G.numValueNodes(); ++V) {
-        const ValueNode &Value = G.value(V);
-        if (Value.Dead || Value.Persistent || Value.Internalized)
+    for (NodeId V = 0; V < G.numValueNodes(); ++V) {
+      const ValueNode &Value = G.value(V);
+      if (Value.Dead || Value.Persistent || Value.Internalized)
+        continue;
+      NodeId P = G.producerOf(V);
+      if (P == InvalidNode)
+        continue;
+      for (const Edge *E : G.readersOf(V)) {
+        if (E->To == P)
           continue;
-        NodeId P = G.producerOf(V);
-        if (P == InvalidNode)
-          continue;
-        for (const Edge *E : G.readersOf(V)) {
-          if (E->To == P)
-            continue;
-          Move M;
-          M.MoveKind = Move::Kind::ProducerConsumer;
-          M.A = P;
-          M.B = E->To;
-          M.Description = "fusePC " + G.stmt(P).Label + " -> " +
-                          G.stmt(E->To).Label;
-          Consider(std::move(M));
-        }
+        Move M;
+        M.MoveKind = Move::Kind::ProducerConsumer;
+        M.A = P;
+        M.B = E->To;
+        M.Description = "fusePC " + G.stmt(P).Label + " -> " +
+                        G.stmt(E->To).Label;
+        Consider(std::move(M));
       }
     }
 

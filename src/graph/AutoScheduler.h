@@ -33,8 +33,7 @@ namespace graph {
 struct AutoScheduleOptions {
   /// Upper bound on S_c (the prefetcher stream budget).
   unsigned MaxStreams = 4;
-  /// Candidate classes.
-  bool AllowProducerConsumer = true;
+  /// Candidates: producer-consumer fusions, and read reductions if set.
   bool AllowReadReduction = true;
   /// Concrete size at which symbolic costs are compared.
   std::int64_t EvalAt = 64;

@@ -30,16 +30,16 @@ Graph graph::buildGraph(const ir::LoopChain &Chain,
                         const BuildOptions &Options) {
   Graph G(Chain);
 
-  // Value nodes: one per referenced array, sized by its extent (inputs
-  // optionally by their first reader's footprint; see BuildOptions).
+  // Value nodes: one per referenced array, sized in N by its extent; pure
+  // inputs by their first reader's footprint, matching the paper's labels
+  // (MiniFluxDiv inputs read N^2+4N, the x-direction footprint).
   std::map<std::string, NodeId, std::less<>> ValueIds;
   for (const std::string &Name : Chain.arrayNames()) {
     const ir::ArrayInfo &Info = Chain.array(Name);
     ValueNode V;
     V.Array = Name;
-    V.OriginalSize = Chain.valueSize(Name, Options.Symbol);
-    if (Options.InputSizeFromFirstReader &&
-        Info.Kind == ir::StorageKind::PersistentInput) {
+    V.OriginalSize = Chain.valueSize(Name, "N");
+    if (Info.Kind == ir::StorageKind::PersistentInput) {
       for (unsigned I = 0; I < Chain.numNests(); ++I) {
         const ir::LoopNest &Nest = Chain.nest(I);
         std::optional<poly::BoxSet> FP;
@@ -48,7 +48,7 @@ Graph graph::buildGraph(const ir::LoopChain &Chain,
             FP = FP ? FP->hull(Nest.readFootprint(R))
                     : Nest.readFootprint(R);
         if (FP) {
-          V.OriginalSize = FP->cardinality(Options.Symbol);
+          V.OriginalSize = FP->cardinality("N");
           break;
         }
       }

@@ -30,13 +30,6 @@ struct BuildOptions {
   /// reproducing the component columns of Figure 3. When false every nest
   /// gets its own row.
   bool GroupRowsByNamePrefix = true;
-  /// Symbol used for symbolic cardinalities.
-  std::string Symbol = "N";
-  /// Sizes pure-input value nodes by the read footprint of their first
-  /// reading nest rather than by the hull of all accesses. This matches the
-  /// paper's labeling: the MiniFluxDiv inputs are labeled N^2+4N, the
-  /// x-direction footprint, although the y-direction flux also reads them.
-  bool InputSizeFromFirstReader = true;
 };
 
 /// Builds the initial (series-of-loops schedule) M2DFG for \p Chain. The

@@ -104,71 +104,18 @@ ir::LoopChain mfd::buildChain3D() {
                     {"z", "y", "x"});
 }
 
-namespace {
-
-// Batched forms of the four statement bodies (see codegen::BatchedKernel).
-// Expression-by-expression identical to the scalar lambdas below so the
-// two paths produce bit-identical storage.
-
-void batchedF1(double *W, const double *const *R, const std::int64_t *S,
-               std::int64_t WS, std::int64_t N) {
-  const double *R0 = R[0], *R1 = R[1], *R2 = R[2], *R3 = R[3];
-  const std::int64_t S0 = S[0], S1 = S[1], S2 = S[2], S3 = S[3];
-  for (std::int64_t I = 0; I < N; ++I)
-    W[I * WS] = FluxC1 * (R1[I * S1] + R2[I * S2]) -
-                FluxC2 * (R0[I * S0] + R3[I * S3]);
-}
-
-void batchedF2(double *W, const double *const *R, const std::int64_t *S,
-               std::int64_t WS, std::int64_t N) {
-  const double *R0 = R[0], *R1 = R[1];
-  const std::int64_t S0 = S[0], S1 = S[1];
-  for (std::int64_t I = 0; I < N; ++I)
-    W[I * WS] = R0[I * S0] * R1[I * S1];
-}
-
-void batchedF2Vel(double *W, const double *const *R, const std::int64_t *S,
-                  std::int64_t WS, std::int64_t N) {
-  const double *R0 = R[0];
-  const std::int64_t S0 = S[0];
-  for (std::int64_t I = 0; I < N; ++I)
-    W[I * WS] = R0[I * S0] * R0[I * S0];
-}
-
-void batchedDiff(double *W, const double *const *R, const std::int64_t *S,
-                 std::int64_t WS, std::int64_t N) {
-  const double *R0 = R[0], *R1 = R[1];
-  const std::int64_t S0 = S[0], S1 = S[1];
-  for (std::int64_t I = 0; I < N; ++I)
-    W[I * WS] = W[I * WS] + DiffScale * (R1[I * S1] - R0[I * S0]);
-}
-
-} // namespace
-
 void mfd::registerKernels(ir::LoopChain &Chain,
                           codegen::KernelRegistry &Registry) {
-  // The expression forms mirror the lambdas tree-for-tree, so the JIT's
-  // emitted C evaluates in the same order and stays bit-identical.
-  using codegen::current;
-  using codegen::lit;
-  using codegen::read;
-  int F1 = Registry.add(
-      [](const std::vector<double> &R, double) {
-        return FluxC1 * (R[1] + R[2]) - FluxC2 * (R[0] + R[3]);
-      },
-      batchedF1,
-      lit(FluxC1) * (read(1) + read(2)) - lit(FluxC2) * (read(0) + read(3)));
-  int F2 = Registry.add(
-      [](const std::vector<double> &R, double) { return R[0] * R[1]; },
-      batchedF2, read(0) * read(1));
-  int F2Vel = Registry.add(
-      [](const std::vector<double> &R, double) { return R[0] * R[0]; },
-      batchedF2Vel, read(0) * read(0));
-  int Diff = Registry.add(
-      [](const std::vector<double> &R, double Current) {
-        return Current + DiffScale * (R[1] - R[0]);
-      },
-      batchedDiff, current() + lit(DiffScale) * (read(1) - read(0)));
+  // One definition per statement body; the registry derives the scalar,
+  // batched and JIT expression forms from it. Diff accumulates into its
+  // write, whose current value comes first.
+  int F1 = Registry.define<4>([](auto R0, auto R1, auto R2, auto R3) {
+    return FluxC1 * (R1 + R2) - FluxC2 * (R0 + R3);
+  });
+  int F2 = Registry.define<2>([](auto R0, auto R1) { return R0 * R1; });
+  int F2Vel = Registry.define<1>([](auto R0) { return R0 * R0; });
+  int Diff = Registry.define<2, /*Accumulates=*/true>(
+      [](auto W, auto R0, auto R1) { return W + DiffScale * (R1 - R0); });
   for (unsigned I = 0; I < Chain.numNests(); ++I) {
     ir::LoopNest &Nest = Chain.nest(I);
     if (Nest.Name[0] == 'D')

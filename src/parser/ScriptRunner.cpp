@@ -8,7 +8,7 @@
 #include "storage/ReuseDistance.h"
 #include "support/StringUtils.h"
 
-#include <cstdlib>
+#include <limits>
 #include <sstream>
 
 using namespace lcdfg;
@@ -56,6 +56,18 @@ ScriptResult fail(std::string Msg, unsigned Line, ScriptResult Result) {
   return Result;
 }
 
+/// Parses \p Word whole (parseInt) as an integer in [0, INT_MAX]: "abc",
+/// "2x" and "-1" are errors, not 0, 2 and a wrapped unsigned.
+bool countArg(const std::string &Word, std::int64_t &Out) {
+  return parseInt(Word, Out) && Out >= 0 &&
+         Out <= std::numeric_limits<int>::max();
+}
+
+std::string badArg(const char *What, const std::string &Word) {
+  return std::string("bad ") + What + " '" + Word +
+         "': expected a non-negative integer";
+}
+
 } // namespace
 
 ScriptResult parser::runScript(Graph &G, std::string_view Script) {
@@ -85,8 +97,11 @@ ScriptResult parser::runScript(Graph &G, std::string_view Script) {
       NodeId S = Stmt(W[1]);
       if (S == InvalidNode)
         return fail("no statement node named " + W[1], Cmd.Line, Result);
+      std::int64_t Row;
+      if (!countArg(W[2], Row))
+        return fail(badArg("row", W[2]), Cmd.Line, Result);
       graph::TransformResult R =
-          graph::reschedule(G, S, std::atoi(W[2].c_str()));
+          graph::reschedule(G, S, static_cast<int>(Row));
       if (!R)
         return fail(R.Error, Cmd.Line, Result);
       LogOk("rescheduled " + W[1] + " to row " + W[2]);
@@ -129,8 +144,12 @@ ScriptResult parser::runScript(Graph &G, std::string_view Script) {
       if (S == InvalidNode)
         return fail("no statement node named " + W[1], Cmd.Line, Result);
       std::vector<unsigned> Order;
-      for (std::size_t I = 2; I < W.size(); ++I)
-        Order.push_back(static_cast<unsigned>(std::atoi(W[I].c_str())));
+      for (std::size_t I = 2; I < W.size(); ++I) {
+        std::int64_t Dim;
+        if (!countArg(W[I], Dim))
+          return fail(badArg("dimension", W[I]), Cmd.Line, Result);
+        Order.push_back(static_cast<unsigned>(Dim));
+      }
       graph::TransformResult R = graph::interchange(G, S, Order);
       if (!R)
         return fail(R.Error, Cmd.Line, Result);
@@ -141,11 +160,13 @@ ScriptResult parser::runScript(Graph &G, std::string_view Script) {
             " internalized value sets");
     } else if (Op == "autoschedule") {
       graph::AutoScheduleOptions Options;
-      if (W.size() == 2)
-        Options.MaxStreams = static_cast<unsigned>(std::atoi(W[1].c_str()));
-      else if (W.size() != 1)
+      std::int64_t Budget = Options.MaxStreams;
+      if (W.size() == 2 && !countArg(W[1], Budget))
+        return fail(badArg("stream budget", W[1]), Cmd.Line, Result);
+      if (W.size() > 2)
         return fail("autoschedule expects at most one argument", Cmd.Line,
                     Result);
+      Options.MaxStreams = static_cast<unsigned>(Budget);
       graph::AutoScheduleResult R = graph::autoSchedule(G, Options);
       LogOk("autoschedule applied " + std::to_string(R.StepsApplied) +
             " moves: S_R " + R.InitialRead.toString() + " -> " +

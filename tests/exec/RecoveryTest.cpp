@@ -438,21 +438,6 @@ TEST(Recovery, ModuloCorruptionCaughtByStrictVerifyGate) {
   EXPECT_FALSE(AnyShrunk);
 }
 
-namespace {
-
-double halfPlusCurrent(const std::vector<double> &Reads, double Current) {
-  return 0.5 * Reads[0] + Current;
-}
-
-void halfPlusCurrentBatched(double *W, const double *const *R,
-                            const std::int64_t *S, std::int64_t WS,
-                            std::int64_t N) {
-  for (std::int64_t I = 0; I < N; ++I)
-    W[I * WS] = 0.5 * R[0][I * S[0]] + W[I * WS];
-}
-
-} // namespace
-
 TEST(Recovery, UnsafeInterleaveDescendsL001AndBatchesTheRest) {
   // A hand-made two-instruction plan. "pair" is the forward-dependent
   // interleave RowPlanTest refuses (its consumer reads B(x+1), which the
@@ -481,7 +466,8 @@ TEST(Recovery, UnsafeInterleaveDescendsL001AndBatchesTheRest) {
   storage::ConcreteStorage Store = Seeded();
 
   codegen::KernelRegistry Kernels;
-  const int K = Kernels.add(halfPlusCurrent, halfPlusCurrentBatched);
+  const int K = Kernels.define<1, /*Accumulates=*/true>(
+      [](auto W, auto R0) { return 0.5 * R0 + W; });
   auto Direct = [&](const char *Array, std::int64_t Offset) {
     Stream S;
     S.Space = Store.resolve(Array).Space;

@@ -30,25 +30,9 @@ namespace {
 // Hand-built plans vs a scalar mirror of the interpreter.
 //===----------------------------------------------------------------------===//
 
-/// Batched sum-of-reads accumulating into the target, matching the scalar
-/// lambda registered next to it.
-template <int Arity>
-void batchedSum(double *W, const double *const *R, const std::int64_t *S,
-                std::int64_t WS, std::int64_t N) {
-  for (std::int64_t I = 0; I < N; ++I) {
-    double Sum = W[I * WS];
-    for (int J = 0; J < Arity; ++J)
-      Sum += R[J][I * S[J]];
-    W[I * WS] = Sum;
-  }
-}
-
-double scalarSum(const std::vector<double> &Reads, double Current) {
-  double Sum = Current;
-  for (double R : Reads)
-    Sum += R;
-  return Sum;
-}
+/// Sum of reads accumulating into the target, as one kernel definition
+/// (KernelRegistry::define): a left fold over the target and the reads.
+constexpr auto Sum = [](auto... Operands) { return (... + Operands); };
 
 /// Mirrors PlanRunner's scalar interpretation of one instruction: guards,
 /// per-point dot product, floored modulo wrap, kernel call per admitted
@@ -116,8 +100,8 @@ struct MicroHarness {
   std::vector<std::vector<double>> A, B;
 
   MicroHarness() {
-    Kernels.add(scalarSum, batchedSum<1>); // kernel 0: one read
-    Kernels.add(scalarSum, batchedSum<2>); // kernel 1: two reads
+    Kernels.define<1, /*Accumulates=*/true>(Sum); // kernel 0: one read
+    Kernels.define<2, /*Accumulates=*/true>(Sum); // kernel 1: two reads
   }
 
   void addSpace(std::size_t Size) {
@@ -311,7 +295,8 @@ TEST(RowPlanMicro, ForwardConflictAtDistanceTwoCapsSegments) {
 
 TEST(RowPlanCompile, RefusesScalarOnlyKernels) {
   codegen::KernelRegistry Kernels;
-  int ScalarOnly = Kernels.add(scalarSum);
+  int ScalarOnly = Kernels.add(
+      [](const std::vector<double> &Reads, double W) { return W + Reads[0]; });
   NestInstr I;
   I.Loops = {LoopLevel{"x", 0, 7}};
   StmtRecord S;
@@ -330,7 +315,7 @@ TEST(RowPlanCompile, RefusesForwardDependentInterleaving) {
   // segment would let the consumer observe values the interpreter has
   // not produced yet in its order — must fall back to scalar.
   codegen::KernelRegistry Kernels;
-  Kernels.add(scalarSum, batchedSum<1>);
+  Kernels.define<1, /*Accumulates=*/true>(Sum);
   NestInstr I;
   I.Loops = {LoopLevel{"x", 0, 7}};
   StmtRecord P;

@@ -60,9 +60,8 @@ EngineOptions optsFor(const std::string &Dir) {
 ///   W[x] = W[x] + 0.5 * (R1[2x] - R0[x])
 codegen::KernelExpr stencilExpr() {
   using codegen::current;
-  using codegen::lit;
   using codegen::read;
-  return current() + lit(0.5) * (read(1) - read(0));
+  return current() + 0.5 * (read(1) - read(0));
 }
 
 /// A one-statement row over x = 0..N-1 running \p E: direct write into
@@ -163,9 +162,8 @@ TEST(JitEngine, AliasedReadStreamStillExact) {
     GTEST_SKIP() << "no host compiler: " << Eng.unavailableReason();
 
   using codegen::current;
-  using codegen::lit;
   using codegen::read;
-  codegen::KernelExpr E = current() + lit(0.5) * (read(1) - read(0));
+  codegen::KernelExpr E = current() + 0.5 * (read(1) - read(0));
   const std::int64_t N = 24;
   codegen::RowKernelDesc::Stmt St;
   St.Body = &E;

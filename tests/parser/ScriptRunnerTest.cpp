@@ -138,3 +138,52 @@ reduce
       parser::runScript(G, "interchange Fz1_rho+Fz2_rho+Dz_rho 0 0 1\n");
   EXPECT_FALSE(Bad);
 }
+
+// Numeric arguments parse whole: a malformed or negative number fails at
+// its line, naming the bad word, before any transform sees it.
+
+TEST(ScriptRunner, RescheduleRejectsMalformedRow) {
+  for (const char *Row : {"zz", "2x", "-1", "99999999999"}) {
+    Fixture F;
+    const int Before = F.G.stmt(F.G.findStmt("Fy1_v")).Row;
+    parser::ScriptResult R = parser::runScript(
+        F.G, std::string("cost\nreschedule Fy1_v ") + Row + "\n");
+    ASSERT_FALSE(R) << Row;
+    EXPECT_EQ(R.Line, 2u);
+    EXPECT_NE(R.Error.find(std::string("bad row '") + Row + "'"),
+              std::string::npos)
+        << R.Error;
+    EXPECT_EQ(F.G.stmt(F.G.findStmt("Fy1_v")).Row, Before);
+  }
+}
+
+TEST(ScriptRunner, InterchangeRejectsMalformedDimension) {
+  for (const char *Dim : {"a", "1b", "-1"}) {
+    ir::LoopChain Chain = mfd::buildChain3D();
+    Graph G = buildGraph(Chain);
+    parser::ScriptResult R = parser::runScript(
+        G, std::string("cost\ninterchange Fz1_rho 0 ") + Dim + " 2\n");
+    ASSERT_FALSE(R) << Dim;
+    EXPECT_EQ(R.Line, 2u);
+    EXPECT_NE(R.Error.find(std::string("bad dimension '") + Dim + "'"),
+              std::string::npos)
+        << R.Error;
+  }
+}
+
+TEST(ScriptRunner, AutoScheduleRejectsMalformedBudget) {
+  for (const char *Budget : {"abc", "-1", "2x", "4294967296"}) {
+    Fixture F;
+    const std::string CostBefore = computeCost(F.G).TotalRead.toString();
+    parser::ScriptResult R = parser::runScript(
+        F.G, std::string("cost\nautoschedule ") + Budget + "\n");
+    ASSERT_FALSE(R) << Budget;
+    EXPECT_EQ(R.Line, 2u);
+    EXPECT_NE(
+        R.Error.find(std::string("bad stream budget '") + Budget + "'"),
+        std::string::npos)
+        << R.Error;
+    EXPECT_EQ(computeCost(F.G).TotalRead.toString(), CostBefore)
+        << "a rejected autoschedule moved the graph";
+  }
+}

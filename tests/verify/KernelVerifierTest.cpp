@@ -14,6 +14,7 @@
 
 #include "codegen/CPrinter.h"
 #include "codegen/Generator.h"
+#include "driver/Lowering.h"
 #include "exec/FaultInjector.h"
 #include "graph/GraphBuilder.h"
 #include "jit/JitEngine.h"
@@ -26,17 +27,6 @@ using namespace lcdfg;
 using namespace lcdfg::verify;
 
 namespace {
-
-/// Batched stand-in body: RowPlan::analyze requires one per statement, but
-/// nothing in these tests ever executes it.
-void batchedNop(double *, const double *const *, const std::int64_t *,
-                std::int64_t, std::int64_t) {}
-
-int addKernel(codegen::KernelRegistry &Kernels, codegen::KernelExpr E) {
-  return Kernels.add(
-      [](const std::vector<double> &, double) { return 0.0; }, batchedNop,
-      std::move(E));
-}
 
 exec::Stream stream(unsigned Space, std::int64_t Base,
                     std::vector<std::int64_t> Strides, std::int64_t Mod = 0) {
@@ -73,7 +63,8 @@ const Diagnostic *findCheck(const Diagnostics &D, const char *Check) {
 exec::NestInstr directStrideInstr(codegen::KernelRegistry &Kernels) {
   exec::NestInstr I = makeInstr();
   exec::StmtRecord S;
-  S.KernelId = addKernel(Kernels, codegen::current() + codegen::read(0));
+  S.KernelId = Kernels.define<1, /*Accumulates=*/true>(
+      [](auto W, auto R0) { return W + R0; });
   S.Write = stream(0, 0, {8, 1});
   S.Reads = {stream(1, 0, {16, 2})};
   I.Stmts.push_back(std::move(S));
@@ -85,7 +76,8 @@ exec::NestInstr directStrideInstr(codegen::KernelRegistry &Kernels) {
 exec::NestInstr moduloReadInstr(codegen::KernelRegistry &Kernels) {
   exec::NestInstr I = makeInstr();
   exec::StmtRecord S;
-  S.KernelId = addKernel(Kernels, codegen::current() + codegen::read(0));
+  S.KernelId = Kernels.define<1, /*Accumulates=*/true>(
+      [](auto W, auto R0) { return W + R0; });
   S.Write = stream(0, 0, {8, 1});
   S.Reads = {stream(1, 0, {0, 1}, /*Mod=*/3)};
   I.Stmts.push_back(std::move(S));
@@ -97,7 +89,7 @@ exec::NestInstr moduloReadInstr(codegen::KernelRegistry &Kernels) {
 exec::NestInstr aliasedInstr(codegen::KernelRegistry &Kernels) {
   exec::NestInstr I = makeInstr();
   exec::StmtRecord S;
-  S.KernelId = addKernel(Kernels, codegen::read(0));
+  S.KernelId = Kernels.define<1>([](auto R0) { return R0; });
   S.Write = stream(0, 0, {8, 1});
   S.Reads = {stream(0, 1, {8, 1})};
   I.Stmts.push_back(std::move(S));
@@ -109,11 +101,11 @@ exec::NestInstr aliasedInstr(codegen::KernelRegistry &Kernels) {
 exec::NestInstr cappedPairInstr(codegen::KernelRegistry &Kernels) {
   exec::NestInstr I = makeInstr(/*OuterHi=*/0);
   exec::StmtRecord A;
-  A.KernelId = addKernel(Kernels, codegen::lit(1.0));
+  A.KernelId = Kernels.define<0>([] { return 1.0; });
   A.Write = stream(1, 0, {0, 1}, /*Mod=*/8);
   I.Stmts.push_back(std::move(A));
   exec::StmtRecord B;
-  B.KernelId = addKernel(Kernels, codegen::read(0));
+  B.KernelId = Kernels.define<1>([](auto R0) { return R0; });
   B.Write = stream(0, 0, {8, 1});
   B.Reads = {stream(1, 2, {0, 1}, /*Mod=*/8)};
   I.Stmts.push_back(std::move(B));
@@ -125,8 +117,8 @@ exec::NestInstr cappedPairInstr(codegen::KernelRegistry &Kernels) {
 exec::NestInstr sumTreeInstr(codegen::KernelRegistry &Kernels) {
   exec::NestInstr I = makeInstr();
   exec::StmtRecord S;
-  S.KernelId = addKernel(
-      Kernels, codegen::read(0) + codegen::read(1) + codegen::read(2));
+  S.KernelId = Kernels.define<3>(
+      [](auto R0, auto R1, auto R2) { return R0 + R1 + R2; });
   S.Write = stream(0, 0, {8, 1});
   S.Reads = {stream(1, 0, {8, 1}), stream(2, 0, {8, 1}),
              stream(3, 0, {8, 1})};
@@ -427,15 +419,7 @@ TEST(KernelVerifier, Fig1PlanKernelsValidateClean) {
   ASSERT_TRUE(static_cast<bool>(R)) << R.Error;
   ir::LoopChain Chain = std::move(*R.Chain);
   codegen::KernelRegistry Kernels;
-  for (unsigned N = 0; N < Chain.numNests(); ++N) {
-    std::size_t Arity = 0;
-    for (const ir::Access &A : Chain.nest(N).Reads)
-      Arity += A.Offsets.size();
-    codegen::KernelExpr E = codegen::current();
-    for (std::size_t J = 0; J < Arity; ++J)
-      E = E + codegen::read(static_cast<unsigned>(J));
-    Chain.nest(N).KernelId = addKernel(Kernels, std::move(E));
-  }
+  driver::assignStandInKernels(Chain, Kernels, /*Pure=*/false);
   graph::Graph G = graph::buildGraph(Chain);
   exec::ParamEnv Env{{"N", std::int64_t{8}}};
   storage::StoragePlan SPlan =

@@ -7,12 +7,13 @@
 # smoke (exec tests + one quick bench_fig6_small iteration) that catches
 # batched-path regressions. Run from the repo root:
 #
-#   tools/ci.sh            # default+tsan+ubsan+bench+verify+faults+jit+
-#                          #   shard+tidy+coverage
+#   tools/ci.sh            # default+tsan+ubsan+bench+native+verify+faults+
+#                          #   jit+shard+serve+tidy+coverage
 #   tools/ci.sh default    # just one preset
 #   tools/ci.sh asan       # the ASan+UBSan sibling
 #   tools/ci.sh ubsan      # standalone UBSan, -fno-sanitize-recover=all
 #   tools/ci.sh bench      # bench smoke + perf-regression gate
+#   tools/ci.sh native     # bit-identity subset built with -march=native
 #   tools/ci.sh verify     # static legality lint + JIT translation validation
 #   tools/ci.sh faults     # just the fault-injection campaign
 #   tools/ci.sh jit        # JIT backend: tests, cache hygiene, dead compiler
@@ -57,6 +58,10 @@
 # BENCH_SERVE_TOL (default 0.5) because request latencies jitter more
 # than compute-bound rows. Set BENCH_GATE=off to skip the gate on
 # machines whose timings are not comparable to the committed baselines.
+#
+# The native stage runs the bit-identity suites (the native test preset's
+# filter) built with -march=native, where an FMA host would expose
+# floating-point contraction.
 #
 # The jit stage exercises the host-compiler kernel backend end to end:
 # the test_jit suite under the default and ASan+UBSan builds, then three
@@ -104,8 +109,8 @@ cd "$(dirname "$0")/.."
 JOBS="${JOBS:-$(nproc 2>/dev/null || echo 2)}"
 PRESETS=("$@")
 if [ ${#PRESETS[@]} -eq 0 ]; then
-  PRESETS=(default tsan ubsan bench verify faults jit shard serve tidy
-    coverage)
+  PRESETS=(default tsan ubsan bench native verify faults jit shard serve
+    tidy coverage)
 fi
 
 bench_smoke() {
