@@ -8,6 +8,7 @@
 #include "jit/JitEngine.h"
 #include "minifluxdiv/Spec.h"
 #include "storage/ReuseDistance.h"
+#include "support/Json.h"
 
 #include <chrono>
 #include <cstdio>
@@ -97,27 +98,26 @@ bool JsonReport::write() const {
     return false;
   const char *Commit = std::getenv("BENCH_COMMIT");
   const Config C = Config::fromEnvironment();
-  Out << "{\n";
+  using support::jsonField;
+  using support::jsonObject;
   // The run's provenance, so a committed baseline records what produced
-  // it; bench_compare ignores this variant when diffing.
-  Out << "  \"_meta\": {\"compiler\": \"" << __VERSION__ << "\", "
-      << "\"commit\": \"" << (Commit && *Commit ? Commit : "unknown")
-      << "\", \"cells\": " << C.TotalCells << ", \"large_box\": "
-      << C.LargeBox << ", \"reps\": " << C.Reps << ", \"threads\": "
-      << C.MaxThreads << ", \"widen\": " << FuseAllModuloWiden << "}"
-      << (Order.empty() ? "" : ",") << "\n";
-  for (std::size_t V = 0; V < Order.size(); ++V) {
-    const auto &Keys = Rows.at(Order[V]);
-    Out << "  \"" << Order[V] << "\": {";
-    std::size_t K = 0;
-    for (const auto &[Key, Seconds] : Keys) {
-      char Buf[48];
-      std::snprintf(Buf, sizeof(Buf), "%.9g", Seconds);
-      Out << (K++ ? ", " : "") << "\"" << Key << "\": " << Buf;
-    }
-    Out << "}" << (V + 1 < Order.size() ? "," : "") << "\n";
+  // it; bench_compare ignores this variant when diffing. One variant per
+  // line keeps baseline diffs reviewable.
+  std::vector<std::string> Variants{support::jsonNested(
+      "_meta",
+      jsonObject({jsonField("compiler", __VERSION__),
+                  jsonField("commit", Commit && *Commit ? Commit : "unknown"),
+                  jsonField("cells", C.TotalCells),
+                  jsonField("large_box", C.LargeBox), jsonField("reps", C.Reps),
+                  jsonField("threads", C.MaxThreads),
+                  jsonField("widen", FuseAllModuloWiden)}))};
+  for (const std::string &Variant : Order) {
+    std::vector<std::string> Keys;
+    for (const auto &[Key, Seconds] : Rows.at(Variant))
+      Keys.push_back(jsonField(Key, Seconds));
+    Variants.push_back(support::jsonNested(Variant, jsonObject(Keys)));
   }
-  Out << "}\n";
+  Out << support::jsonObjectLines(Variants) << "\n";
   std::printf("wrote %s\n", Path);
   return true;
 }

@@ -24,6 +24,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "serve/Server.h"
+#include "support/Json.h"
 
 #include "bench_common.h"
 
@@ -62,12 +63,10 @@ long envLong(const char *Name, long Def) {
 }
 
 std::string runRequest(std::int64_t Size, bool Bypass) {
-  std::string L = "{" + jsonField("chain", std::string_view(Fig6SmallChain)) +
-                  "," + jsonField("size", Size);
-  if (Bypass)
-    L += "," + jsonField("cache", false);
-  L += "}";
-  return L;
+  using support::jsonField;
+  return support::jsonObject({jsonField("chain", Fig6SmallChain),
+                              jsonField("size", Size),
+                              Bypass ? jsonField("cache", false) : ""});
 }
 
 double percentile(std::vector<double> V, double Q) {

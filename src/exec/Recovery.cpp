@@ -6,7 +6,7 @@
 #include "exec/ThreadPool.h"
 #include "obs/Trace.h"
 #include "storage/StorageMap.h"
-#include "support/StringUtils.h"
+#include "support/Json.h"
 #include "verify/PlanVerifier.h"
 
 #include <sstream>
@@ -29,9 +29,9 @@ std::string firstError(const verify::Diagnostics &Diags) {
 
 } // namespace
 
-std::string RunReport::toString() const {
+std::string RunOutcome::outcomeText(std::string_view Title) const {
   std::ostringstream OS;
-  OS << "run report: "
+  OS << Title << ": "
      << (Completed ? (Recovered ? "recovered" : "completed") : "failed")
      << " at rung " << FinalRung << "\n";
   for (const Descent &D : Descents)
@@ -42,24 +42,25 @@ std::string RunReport::toString() const {
   return OS.str();
 }
 
-std::string RunReport::toJson() const {
-  std::ostringstream OS;
-  OS << "{\"completed\":" << (Completed ? "true" : "false")
-     << ",\"recovered\":" << (Recovered ? "true" : "false")
-     << ",\"final_rung\":\"" << jsonEscape(FinalRung) << "\",\"descents\":[";
-  for (std::size_t I = 0; I < Descents.size(); ++I) {
-    if (I)
-      OS << ",";
-    OS << "{\"rung\":\"" << jsonEscape(Descents[I].Rung) << "\",\"reason\":\""
-       << jsonEscape(Descents[I].Reason) << "\",\"detail\":\""
-       << jsonEscape(Descents[I].Detail) << "\"}";
-  }
-  OS << "]";
-  if (!Completed)
-    OS << ",\"error\":" << Error.toJson();
-  OS << "}";
-  return OS.str();
+std::string RunOutcome::outcomeJson(std::string Extra, std::string Tail) const {
+  using support::jsonField;
+  std::vector<std::string> Items;
+  for (const Descent &D : Descents)
+    Items.push_back(support::jsonObject({jsonField("rung", D.Rung),
+                                         jsonField("reason", D.Reason),
+                                         jsonField("detail", D.Detail)}));
+  return support::jsonObject(
+      {jsonField("completed", Completed), jsonField("recovered", Recovered),
+       jsonField("final_rung", FinalRung),
+       support::jsonNested("descents", support::jsonArray(Items)),
+       std::move(Extra),
+       Completed ? "" : support::jsonNested("error", Error.toJson()),
+       std::move(Tail)});
 }
+
+std::string RunReport::toString() const { return outcomeText("run report"); }
+
+std::string RunReport::toJson() const { return outcomeJson(); }
 
 RunReport exec::runWithRecovery(const ExecutionPlan &Plan,
                                 const codegen::KernelRegistry &Kernels,

@@ -68,6 +68,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace lcdfg {
@@ -84,10 +85,10 @@ inline constexpr const char *ReasonMemBudget = "L007-mem-budget";
 inline constexpr const char *ReasonJitUnavailable = "L008-jit-unavailable";
 inline constexpr const char *ReasonShardDegraded = "L009-shard-degraded";
 
-/// What one recovering run did: every rung descent with its reason, the
-/// rung that finally ran (or the error that exhausted the ladder), and the
-/// completed run's stats.
-struct RunReport {
+/// How a laddered run ended: every rung descent with its reason, the rung
+/// that finally ran, and the error that exhausted the ladder. Shared by
+/// RunReport and shard::ShardReport, so both render it the same way.
+struct RunOutcome {
   struct Descent {
     std::string Rung;   ///< The rung that failed ("batched-parallel", ...).
     std::string Reason; ///< Stable L00x code.
@@ -101,6 +102,19 @@ struct RunReport {
   bool Recovered = false;
   /// E014-exhausted wrapping the last failure when !Completed.
   support::Status Error;
+
+  /// "<Title>: completed at rung R", then one line per descent and, when
+  /// !Completed, the error line.
+  std::string outcomeText(std::string_view Title) const;
+  /// {"completed":..,"recovered":..,"final_rung":..,"descents":[..],
+  /// <Extra>,"error":{..},<Tail>}: error only when !Completed, \p Extra and
+  /// \p Tail (rendered members) only when non-empty.
+  std::string outcomeJson(std::string Extra = "",
+                          std::string Tail = "") const;
+};
+
+/// What one recovering run did: its outcome and the completed run's stats.
+struct RunReport : RunOutcome {
   PlanStats Stats; ///< Of the completed run.
 
   std::string toString() const;

@@ -2,7 +2,7 @@
 
 #include "obs/Trace.h"
 
-#include "support/StringUtils.h"
+#include "support/Json.h"
 
 #include <algorithm>
 #include <atomic>
@@ -436,7 +436,7 @@ std::string Trace::toChromeJson() const {
     if (L.empty())
       Out += spanKindName(S.Kind);
     else
-      Out += jsonEscape(L);
+      Out += support::jsonEscape(L);
     Out += "\",\"cat\":\"";
     Out += spanKindName(S.Kind);
     if (S.Kind == SpanKind::Marker) {

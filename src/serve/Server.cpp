@@ -6,6 +6,7 @@
 #include "exec/Recovery.h"
 #include "obs/Trace.h"
 #include "support/Hash.h"
+#include "support/Json.h"
 #include "support/StringUtils.h"
 
 #include <algorithm>
@@ -28,6 +29,11 @@
 using namespace lcdfg;
 using namespace lcdfg::serve;
 using support::ErrorCode;
+using support::jsonField;
+using support::jsonNested;
+using support::jsonObject;
+using support::JsonValue;
+using support::parseJson;
 using support::Status;
 
 namespace {
@@ -68,11 +74,8 @@ std::string resultChecksum(const exec::ExecutionPlan &Plan,
 }
 
 std::string statusResponse(const Status &S, const std::string &IdField) {
-  std::string Out = "{" + jsonField("ok", false) + ",";
-  if (!IdField.empty())
-    Out += IdField + ",";
-  Out += "\"status\":" + S.toJson() + "}";
-  return Out;
+  return jsonObject(
+      {jsonField("ok", false), IdField, jsonNested("status", S.toJson())});
 }
 
 /// Pre-rendered "id":... echo fragment ("" when the request carried none).
@@ -81,7 +84,7 @@ std::string idFieldOf(const JsonValue &Req) {
   if (!Id)
     return "";
   if (Id->isString())
-    return jsonField("id", std::string_view(Id->Str));
+    return jsonField("id", Id->Str);
   if (Id->isNumber())
     return jsonField("id", Id->asInt());
   return "";
@@ -446,32 +449,22 @@ std::string Server::handleCommand(const JsonValue &Req, bool *Shutdown) {
   if (!Cmd->isString())
     return Reject("\"cmd\" must be a string");
 
-  if (Name == "ping") {
-    std::string Out = "{" + jsonField("ok", true) + ",";
-    if (!IdField.empty())
-      Out += IdField + ",";
-    Out += jsonField("cmd", std::string_view("ping")) + "}";
-    return Out;
-  }
+  if (Name == "ping")
+    return jsonObject(
+        {jsonField("ok", true), IdField, jsonField("cmd", "ping")});
 
   if (Name == "stats") {
     ServerStats S = stats();
-    std::string Out = "{" + jsonField("ok", true) + ",";
-    if (!IdField.empty())
-      Out += IdField + ",";
-    Out += "\"stats\":{" + jsonField("connections", S.Connections) + "," +
-           jsonField("active", S.Active) + "," +
-           jsonField("requests", S.Requests) + "," +
-           jsonField("admitted", S.Admitted) + "," +
-           jsonField("hits", S.Hits) + "," + jsonField("misses", S.Misses) +
-           "," + jsonField("evictions", S.Evictions) + "," +
-           jsonField("entries", S.Entries) + "," +
-           jsonField("capacity",
-                     static_cast<std::int64_t>(Cache.capacity())) +
-           "," + jsonField("errors", S.Errors) + "," +
-           jsonField("protocol_errors", S.ProtocolErrors) + "," +
-           jsonField("rejected", S.Rejected) + "}}";
-    return Out;
+    std::string Stats = jsonObject(
+        {jsonField("connections", S.Connections), jsonField("active", S.Active),
+         jsonField("requests", S.Requests), jsonField("admitted", S.Admitted),
+         jsonField("hits", S.Hits), jsonField("misses", S.Misses),
+         jsonField("evictions", S.Evictions), jsonField("entries", S.Entries),
+         jsonField("capacity", Cache.capacity()), jsonField("errors", S.Errors),
+         jsonField("protocol_errors", S.ProtocolErrors),
+         jsonField("rejected", S.Rejected)});
+    return jsonObject(
+        {jsonField("ok", true), IdField, jsonNested("stats", Stats)});
   }
 
   if (Name == "shutdown") {
@@ -479,11 +472,8 @@ std::string Server::handleCommand(const JsonValue &Req, bool *Shutdown) {
       return Reject("shutdown is disabled on this server");
     if (Shutdown)
       *Shutdown = true;
-    std::string Out = "{" + jsonField("ok", true) + ",";
-    if (!IdField.empty())
-      Out += IdField + ",";
-    Out += jsonField("cmd", std::string_view("shutdown")) + "}";
-    return Out;
+    return jsonObject(
+        {jsonField("ok", true), IdField, jsonField("cmd", "shutdown")});
   }
 
   return Reject("unknown command: " + Name);
@@ -692,38 +682,31 @@ std::string Server::handleRun(const JsonValue &Req) {
     Tasks += W.Tasks;
   }
 
-  std::string Out = "{" + jsonField("ok", RR.Completed) + ",";
-  if (!IdField.empty())
-    Out += IdField + ",";
-  Out += jsonField("cache", std::string_view(Hit ? "hit" : "miss")) + ",";
   if (!RR.Completed) {
     CErrors.fetch_add(1);
     obs::Tracer::global().add(obs::Counter::ServeErrors, 1);
-    Out += "\"status\":" + RR.Error.toJson() + ",";
   }
-  Out += "\"report\":" + RR.toJson() + ",";
-  Out += "\"metrics\":{" + jsonField("seconds", RR.Stats.Seconds) + "," +
-         jsonField("compile_seconds", Hit ? 0.0 : CP->CompileSeconds) + "," +
-         jsonField("wait_seconds", WaitSeconds) + "," +
-         jsonField("points", Points) + "," +
-         jsonField("raw_reads", RawReads) + "," + jsonField("tasks", Tasks) +
-         "," +
-         jsonField("threads_used",
-                   static_cast<std::int64_t>(RR.Stats.ThreadsUsed)) +
-         "},";
-  Out += "\"cost\":{" +
-         jsonField("sr", std::string_view(CP->Cost.TotalRead.toString())) +
-         "," +
-         jsonField("sc", static_cast<std::int64_t>(CP->Cost.MaxStreams)) +
-         "," + jsonField("store_bytes", CP->StoreBytes) + "," +
-         jsonField("admit_bytes", CP->AdmitBytes) + "," +
-         jsonField("traffic_bytes", CP->TrafficBytes) + "," +
-         jsonField("high_water", CP->SerialHighWater) + "," +
-         jsonField("heavy", Heavy) + "}";
-  if (!Fnv.empty())
-    Out += "," + jsonField("result_fnv", std::string_view(Fnv));
-  Out += "}";
-  return Out;
+  std::string Metrics = jsonObject(
+      {jsonField("seconds", RR.Stats.Seconds),
+       jsonField("compile_seconds", Hit ? 0.0 : CP->CompileSeconds),
+       jsonField("wait_seconds", WaitSeconds), jsonField("points", Points),
+       jsonField("raw_reads", RawReads), jsonField("tasks", Tasks),
+       jsonField("threads_used", RR.Stats.ThreadsUsed)});
+  std::string Cost = jsonObject(
+      {jsonField("sr", CP->Cost.TotalRead.toString()),
+       jsonField("sc", CP->Cost.MaxStreams),
+       jsonField("store_bytes", CP->StoreBytes),
+       jsonField("admit_bytes", CP->AdmitBytes),
+       jsonField("traffic_bytes", CP->TrafficBytes),
+       jsonField("high_water", CP->SerialHighWater),
+       jsonField("heavy", Heavy)});
+  return jsonObject(
+      {jsonField("ok", RR.Completed), IdField,
+       jsonField("cache", Hit ? "hit" : "miss"),
+       RR.Completed ? "" : jsonNested("status", RR.Error.toJson()),
+       jsonNested("report", RR.toJson()), jsonNested("metrics", Metrics),
+       jsonNested("cost", Cost),
+       Fnv.empty() ? "" : jsonField("result_fnv", Fnv)});
 }
 
 //===----------------------------------------------------------------------===//

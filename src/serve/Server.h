@@ -38,8 +38,8 @@
 #ifndef LCDFG_SERVE_SERVER_H
 #define LCDFG_SERVE_SERVER_H
 
-#include "serve/Json.h"
 #include "serve/PlanCache.h"
+#include "support/Json.h"
 #include "support/Status.h"
 
 #include <atomic>
@@ -149,9 +149,10 @@ private:
   /// when the connection should be considered gone.
   bool writeResponse(int Fd, const std::string &Line);
 
-  std::string handleCommand(const JsonValue &Req, bool *Shutdown);
-  std::string handleRun(const JsonValue &Req);
-  support::Status decodeSpec(const JsonValue &Req, RequestSpec &Spec) const;
+  std::string handleCommand(const support::JsonValue &Req, bool *Shutdown);
+  std::string handleRun(const support::JsonValue &Req);
+  support::Status decodeSpec(const support::JsonValue &Req,
+                             RequestSpec &Spec) const;
 
   /// Admission: blocks until the request's bytes fit the budget and a
   /// concurrency slot (plus the heavy lane when Heavy) frees up.
@@ -216,8 +217,8 @@ public:
                                           std::size_t MaxBytes = 8 << 20);
 
   /// sendLine + recvLine + parseJson in one step.
-  support::Expected<JsonValue> request(std::string_view Line,
-                                       int TimeoutMs = 10000);
+  support::Expected<support::JsonValue> request(std::string_view Line,
+                                                int TimeoutMs = 10000);
 
   /// Closes abruptly (the mid-request disconnect drill).
   void closeNow();

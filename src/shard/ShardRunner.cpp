@@ -6,6 +6,7 @@
 #include "obs/Trace.h"
 #include "shard/Protocol.h"
 #include "shard/Topology.h"
+#include "support/Json.h"
 #include "support/StringUtils.h"
 
 #include <algorithm>
@@ -693,40 +694,21 @@ Status shard::runSerialReference(std::vector<rt::Box> &Boxes,
 
 std::string ShardReport::toString() const {
   std::ostringstream OS;
-  OS << "shard report: "
-     << (Completed ? (Recovered ? "recovered" : "completed") : "failed")
-     << " at rung " << FinalRung << "\n";
-  for (const exec::RunReport::Descent &D : Descents)
-    OS << "  descent from " << D.Rung << " [" << D.Reason
-       << "]: " << D.Detail << "\n";
-  if (!Completed)
-    OS << "  error: " << Error.toString() << "\n";
-  OS << "  stats: exchanges=" << Stats.Exchanges << " bytes=" << Stats.Bytes
-     << " retries=" << Stats.Retries << " timeouts=" << Stats.Timeouts
-     << " peers_lost=" << Stats.PeersLost << "\n";
+  OS << outcomeText("shard report") << "  stats: exchanges=" << Stats.Exchanges
+     << " bytes=" << Stats.Bytes << " retries=" << Stats.Retries
+     << " timeouts=" << Stats.Timeouts << " peers_lost=" << Stats.PeersLost
+     << "\n";
   return OS.str();
 }
 
-std::string ShardReport::toJson() const {
-  std::ostringstream OS;
-  OS << "{\"completed\":" << (Completed ? "true" : "false")
-     << ",\"recovered\":" << (Recovered ? "true" : "false")
-     << ",\"final_rung\":\"" << jsonEscape(FinalRung) << "\",\"descents\":[";
-  for (std::size_t I = 0; I < Descents.size(); ++I) {
-    if (I)
-      OS << ",";
-    OS << "{\"rung\":\"" << jsonEscape(Descents[I].Rung)
-       << "\",\"reason\":\"" << jsonEscape(Descents[I].Reason)
-       << "\",\"detail\":\"" << jsonEscape(Descents[I].Detail) << "\"}";
-  }
-  OS << "],\"stats\":{\"exchanges\":" << Stats.Exchanges
-     << ",\"bytes\":" << Stats.Bytes << ",\"retries\":" << Stats.Retries
-     << ",\"timeouts\":" << Stats.Timeouts
-     << ",\"peers_lost\":" << Stats.PeersLost << "}";
-  if (!Completed)
-    OS << ",\"error\":" << Error.toJson();
-  OS << "}";
-  return OS.str();
+std::string ShardReport::toJson(std::string Tail) const {
+  using support::jsonField;
+  std::string StatsJson = support::jsonObject(
+      {jsonField("exchanges", Stats.Exchanges), jsonField("bytes", Stats.Bytes),
+       jsonField("retries", Stats.Retries),
+       jsonField("timeouts", Stats.Timeouts),
+       jsonField("peers_lost", Stats.PeersLost)});
+  return outcomeJson(support::jsonNested("stats", StatsJson), std::move(Tail));
 }
 
 ShardReport shard::runSharded(std::vector<rt::Box> &Boxes,
@@ -883,7 +865,7 @@ ShardReport shard::runSharded(std::vector<rt::Box> &Boxes,
   // finish every remaining step single-process scalar-serial —
   // bit-identical to a never-sharded run.
   Coord.killWorkers();
-  Report.Descents.push_back(exec::RunReport::Descent{
+  Report.Descents.push_back(exec::RunOutcome::Descent{
       "sharded-" + std::to_string(S), exec::ReasonShardDegraded,
       StepError.toString()});
   if (Status Serial =

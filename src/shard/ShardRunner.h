@@ -82,20 +82,18 @@ struct ShardStats {
   std::int64_t PeersLost = 0; ///< Worker processes lost mid-protocol.
 };
 
-/// What a sharded run did. Mirrors exec::RunReport's JSON shape
-/// ("completed" / "recovered" / "final_rung" / "descents") so report
-/// tooling and CI greps treat both uniformly.
-struct ShardReport {
-  std::vector<exec::RunReport::Descent> Descents;
-  std::string FinalRung; ///< "sharded-N", or "shard-degraded-serial".
-  bool Completed = false;
-  bool Recovered = false;        ///< Completed after an L009 descent.
-  support::Status Error;         ///< Set when !Completed.
+/// What a sharded run did: the same outcome record as exec::RunReport
+/// (FinalRung is "sharded-N" or "shard-degraded-serial"; Recovered means
+/// completed after an L009 descent), so report tooling and CI greps treat
+/// both uniformly, plus the exchange stats.
+struct ShardReport : exec::RunOutcome {
   ShardStats Stats;
   double Seconds = 0.0;
 
   std::string toString() const;
-  std::string toJson() const;
+  /// The RunReport shape with "stats" before "error"; \p Tail, a rendered
+  /// member, goes last (lcdfg-opt's oracle verdict).
+  std::string toJson(std::string Tail = "") const;
 };
 
 /// Runs \p Steps timesteps of (ghost exchange, then \p Fn per box, then

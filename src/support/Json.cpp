@@ -1,14 +1,14 @@
-//===- serve/Json.cpp -----------------------------------------------------===//
+//===- support/Json.cpp ---------------------------------------------------===//
 
-#include "serve/Json.h"
+#include "support/Json.h"
 
+#include <charconv>
 #include <cmath>
+#include <cstdio>
 #include <cstdlib>
-#include <sstream>
 
 using namespace lcdfg;
-using namespace lcdfg::serve;
-using support::ErrorCode;
+using namespace lcdfg::support;
 
 const JsonValue *JsonValue::find(std::string_view Key) const {
   if (K != Kind::Object)
@@ -26,6 +26,11 @@ std::string JsonValue::asString(std::string_view Def) const {
 std::int64_t JsonValue::asInt(std::int64_t Def) const {
   if (K != Kind::Number)
     return Def;
+  std::int64_t Exact = 0;
+  const char *End = Str.data() + Str.size();
+  if (auto [P, Ec] = std::from_chars(Str.data(), End, Exact);
+      Ec == std::errc() && P == End)
+    return Exact;
   if (Num > 9.2e18 || Num < -9.2e18 || std::isnan(Num))
     return Def;
   return static_cast<std::int64_t>(Num);
@@ -276,32 +281,103 @@ private:
         return err("digits required in exponent");
     }
     Out.K = JsonValue::Kind::Number;
-    Out.Num = std::strtod(std::string(Text.substr(Start, Pos - Start)).c_str(),
-                          nullptr);
+    Out.Str = Text.substr(Start, Pos - Start);
+    Out.Num = std::strtod(Out.Str.c_str(), nullptr);
     return support::Status::ok();
   }
 };
 
 } // namespace
 
-support::Expected<JsonValue> serve::parseJson(std::string_view Text) {
+Expected<JsonValue> support::parseJson(std::string_view Text) {
   return Parser(Text).run();
 }
 
-std::string serve::jsonField(std::string_view Key, std::string_view Value) {
-  return "\"" + jsonEscape(Key) + "\":\"" + jsonEscape(Value) + "\"";
+std::string support::jsonEscape(std::string_view S) {
+  std::string Out;
+  Out.reserve(S.size() + 8);
+  for (char C : S) {
+    switch (C) {
+    case '"':
+      Out += "\\\"";
+      break;
+    case '\\':
+      Out += "\\\\";
+      break;
+    case '\n':
+      Out += "\\n";
+      break;
+    case '\r':
+      Out += "\\r";
+      break;
+    case '\t':
+      Out += "\\t";
+      break;
+    default:
+      if (static_cast<unsigned char>(C) < 0x20) {
+        char Buf[8];
+        std::snprintf(Buf, sizeof(Buf), "\\u%04x",
+                      static_cast<unsigned>(static_cast<unsigned char>(C)));
+        Out += Buf;
+      } else {
+        Out.push_back(C);
+      }
+    }
+  }
+  return Out;
 }
 
-std::string serve::jsonField(std::string_view Key, std::int64_t Value) {
-  return "\"" + jsonEscape(Key) + "\":" + std::to_string(Value);
+std::string support::jsonValue(std::string_view S) {
+  return "\"" + jsonEscape(S) + "\"";
 }
 
-std::string serve::jsonField(std::string_view Key, double Value) {
-  std::ostringstream OS;
-  OS << Value;
-  return "\"" + jsonEscape(Key) + "\":" + OS.str();
+std::string support::jsonValue(const char *S) {
+  return jsonValue(std::string_view(S));
 }
 
-std::string serve::jsonField(std::string_view Key, bool Value) {
-  return "\"" + jsonEscape(Key) + "\":" + (Value ? "true" : "false");
+std::string support::jsonValue(bool B) { return B ? "true" : "false"; }
+
+std::string support::jsonValue(double D) {
+  if (!std::isfinite(D))
+    return "null";
+  char Buf[32];
+  auto [End, Ec] = std::to_chars(Buf, Buf + sizeof(Buf), D);
+  (void)Ec; // 32 bytes hold the longest shortest-round-trip double
+  return std::string(Buf, End);
+}
+
+std::string support::jsonNested(std::string_view Key, std::string_view Json) {
+  return jsonValue(Key) + ":" + std::string(Json);
+}
+
+namespace {
+
+std::string join(std::string_view Open, const std::vector<std::string> &Pieces,
+                 std::string_view Sep, std::string_view Close) {
+  std::string Out(Open);
+  bool First = true;
+  for (const std::string &P : Pieces) {
+    if (P.empty())
+      continue;
+    if (!First)
+      Out += Sep;
+    Out += P;
+    First = false;
+  }
+  Out += Close;
+  return Out;
+}
+
+} // namespace
+
+std::string support::jsonObject(const std::vector<std::string> &Fields) {
+  return join("{", Fields, ",", "}");
+}
+
+std::string support::jsonArray(const std::vector<std::string> &Values) {
+  return join("[", Values, ",", "]");
+}
+
+std::string support::jsonObjectLines(const std::vector<std::string> &Fields) {
+  return join("{\n  ", Fields, ",\n  ", "\n}");
 }

@@ -3,7 +3,7 @@
 #include "support/Status.h"
 
 #include "support/Errors.h"
-#include "support/StringUtils.h"
+#include "support/Json.h"
 
 #include <sstream>
 
@@ -69,16 +69,13 @@ std::string Status::toString() const {
 }
 
 std::string Status::toJson() const {
-  std::ostringstream OS;
-  OS << "{\"code\":\"" << errorCodeName(Code) << "\",\"message\":\""
-     << jsonEscape(Msg) << "\"";
-  if (!Sub.empty())
-    OS << ",\"subcode\":\"" << jsonEscape(Sub) << "\"";
-  OS << ",\"context\":[";
-  for (std::size_t I = 0; I < Chain.size(); ++I)
-    OS << (I ? "," : "") << "\"" << jsonEscape(Chain[I]) << "\"";
-  OS << "]}";
-  return OS.str();
+  std::vector<std::string> Context;
+  for (const std::string &Frame : Chain)
+    Context.push_back(jsonValue(Frame));
+  return jsonObject({jsonField("code", errorCodeName(Code)),
+                     jsonField("message", Msg),
+                     Sub.empty() ? "" : jsonField("subcode", Sub),
+                     jsonNested("context", jsonArray(Context))});
 }
 
 void Status::expectOk(std::string_view What) const {

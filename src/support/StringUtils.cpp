@@ -5,7 +5,6 @@
 #include <cctype>
 #include <charconv>
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
 #include <system_error>
 
@@ -62,40 +61,6 @@ bool lcdfg::consumePrefix(std::string_view &S, std::string_view Prefix) {
     return false;
   S = T.substr(Prefix.size());
   return true;
-}
-
-std::string lcdfg::jsonEscape(std::string_view S) {
-  std::string Out;
-  Out.reserve(S.size() + 8);
-  for (char C : S) {
-    switch (C) {
-    case '"':
-      Out += "\\\"";
-      break;
-    case '\\':
-      Out += "\\\\";
-      break;
-    case '\n':
-      Out += "\\n";
-      break;
-    case '\r':
-      Out += "\\r";
-      break;
-    case '\t':
-      Out += "\\t";
-      break;
-    default:
-      if (static_cast<unsigned char>(C) < 0x20) {
-        char Buf[8];
-        std::snprintf(Buf, sizeof(Buf), "\\u%04x",
-                      static_cast<unsigned>(static_cast<unsigned char>(C)));
-        Out += Buf;
-      } else {
-        Out.push_back(C);
-      }
-    }
-  }
-  return Out;
 }
 
 bool lcdfg::parseInt(std::string_view S, std::int64_t &Out) {

@@ -7,8 +7,7 @@
 ///
 /// \file
 /// Small string helpers used by the omplc pragma parser, the pretty
-/// printers, every JSON writer, and the tools' numeric flags and
-/// environment settings.
+/// printers, and the tools' numeric flags and environment settings.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -38,12 +37,6 @@ bool startsWith(std::string_view S, std::string_view Prefix);
 /// Consumes \p Prefix from the front of \p S (after trimming); returns true
 /// and advances \p S on success.
 bool consumePrefix(std::string_view &S, std::string_view Prefix);
-
-/// Escapes \p S for embedding in a JSON string literal (quotes not
-/// included): quote, backslash, \n, \r and \t get their short escapes and
-/// every other control byte becomes \u00XX, so any byte string
-/// round-trips through a JSON parser.
-std::string jsonEscape(std::string_view S);
 
 /// Parse all of \p S as a base-10 integer or a finite decimal number. False,
 /// leaving \p Out untouched, on an empty string, anything but the number

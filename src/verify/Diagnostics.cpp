@@ -7,7 +7,7 @@
 
 #include "verify/Diagnostics.h"
 
-#include "support/StringUtils.h"
+#include "support/Json.h"
 
 #include <sstream>
 
@@ -35,12 +35,20 @@ void printPoint(std::ostringstream &OS, const std::vector<std::int64_t> &Pt) {
   OS << ")";
 }
 
-void jsonPoint(std::ostringstream &OS, const char *Key,
-               const std::vector<std::int64_t> &Pt) {
-  OS << ",\"" << Key << "\":[";
-  for (std::size_t I = 0; I < Pt.size(); ++I)
-    OS << (I ? "," : "") << Pt[I];
-  OS << "]";
+/// "Key":[x,y,...], or "" (left out) for an empty point.
+std::string jsonPoint(std::string_view Key,
+                      const std::vector<std::int64_t> &Pt) {
+  if (Pt.empty())
+    return "";
+  std::vector<std::string> Coords;
+  for (std::int64_t C : Pt)
+    Coords.push_back(support::jsonValue(C));
+  return support::jsonNested(Key, support::jsonArray(Coords));
+}
+
+/// "Key":N, or "" (left out) for an unset index.
+std::string jsonIndex(std::string_view Key, int Index) {
+  return Index >= 0 ? support::jsonField(Key, Index) : "";
 }
 
 } // namespace
@@ -94,33 +102,21 @@ std::string Diagnostics::toString() const {
 }
 
 std::string Diagnostics::toJson() const {
-  std::ostringstream OS;
-  OS << "{\"diagnostics\":[";
-  for (std::size_t I = 0; I < Diags.size(); ++I) {
-    const Diagnostic &D = Diags[I];
-    OS << (I ? "," : "") << "{\"severity\":\"" << severityName(D.Sev)
-       << "\",\"check\":\"" << jsonEscape(D.CheckId) << "\",\"message\":\""
-       << jsonEscape(D.Message) << "\"";
-    if (D.Task >= 0)
-      OS << ",\"task\":" << D.Task;
-    if (D.Instr >= 0)
-      OS << ",\"instr\":" << D.Instr;
-    if (D.OtherTask >= 0)
-      OS << ",\"other_task\":" << D.OtherTask;
-    if (D.OtherInstr >= 0)
-      OS << ",\"other_instr\":" << D.OtherInstr;
-    if (D.Space >= 0)
-      OS << ",\"space\":" << D.Space;
-    if (!D.Array.empty())
-      OS << ",\"array\":\"" << jsonEscape(D.Array) << "\"";
-    if (!D.Point.empty())
-      jsonPoint(OS, "point", D.Point);
-    if (!D.OtherPoint.empty())
-      jsonPoint(OS, "other_point", D.OtherPoint);
-    OS << "}";
-  }
-  OS << "],\"errors\":" << count(Severity::Error)
-     << ",\"warnings\":" << count(Severity::Warning)
-     << ",\"notes\":" << count(Severity::Note) << "}";
-  return OS.str();
+  using support::jsonField;
+  std::vector<std::string> Items;
+  for (const Diagnostic &D : Diags)
+    Items.push_back(support::jsonObject(
+        {jsonField("severity", severityName(D.Sev)),
+         jsonField("check", D.CheckId), jsonField("message", D.Message),
+         jsonIndex("task", D.Task), jsonIndex("instr", D.Instr),
+         jsonIndex("other_task", D.OtherTask),
+         jsonIndex("other_instr", D.OtherInstr), jsonIndex("space", D.Space),
+         D.Array.empty() ? "" : jsonField("array", D.Array),
+         jsonPoint("point", D.Point),
+         jsonPoint("other_point", D.OtherPoint)}));
+  return support::jsonObject(
+      {support::jsonNested("diagnostics", support::jsonArray(Items)),
+       jsonField("errors", count(Severity::Error)),
+       jsonField("warnings", count(Severity::Warning)),
+       jsonField("notes", count(Severity::Note))});
 }

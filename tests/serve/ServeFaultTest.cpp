@@ -25,6 +25,8 @@
 using namespace lcdfg;
 using namespace lcdfg::serve;
 using namespace serve_test;
+using support::JsonValue;
+using support::parseJson;
 using support::ErrorCode;
 
 namespace {

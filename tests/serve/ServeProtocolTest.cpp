@@ -13,13 +13,17 @@
 
 #include "ServeTestUtil.h"
 #include "exec/Recovery.h"
-#include "serve/Json.h"
 #include "serve/PlanCache.h"
 #include "shard/ShardRunner.h"
+#include "support/Json.h"
 #include "verify/Diagnostics.h"
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <chrono>
+#include <cstdint>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -28,6 +32,9 @@ using namespace lcdfg;
 using namespace lcdfg::serve;
 using namespace serve_test;
 using support::ErrorCode;
+using support::jsonEscape;
+using support::JsonValue;
+using support::parseJson;
 
 namespace {
 
@@ -62,6 +69,67 @@ TEST(ServeJson, EscapeRoundTrips) {
   auto V = parseJson("{\"k\":\"" + jsonEscape(Hostile) + "\"}");
   ASSERT_TRUE(bool(V));
   EXPECT_EQ(V->find("k")->asString(), Hostile);
+
+  // Every control byte, the two escaped printables, DEL and multi-byte
+  // UTF-8, each written as a member value and read back unchanged.
+  std::vector<std::string> Cases{
+      "\"", "\\", "\x7f", "gr\xc3\xbc\xc3\x9f \xe2\x82\xac \xf0\x9f\x98\x80"};
+  for (int B = 0; B < 0x20; ++B)
+    Cases.push_back(std::string(1, static_cast<char>(B)));
+  for (const std::string &Case : Cases) {
+    auto W = parseJson(support::jsonObject({support::jsonField("k", Case)}));
+    ASSERT_TRUE(bool(W)) << support::jsonValue(Case);
+    EXPECT_EQ(W->find("k")->asString(), Case);
+  }
+}
+
+TEST(ServeJson, WrittenNumbersReadBackExactly) {
+  for (std::int64_t I : {std::numeric_limits<std::int64_t>::min(),
+                         std::numeric_limits<std::int64_t>::max()}) {
+    auto V = parseJson(support::jsonObject({support::jsonField("i", I)}));
+    ASSERT_TRUE(bool(V));
+    EXPECT_EQ(V->find("i")->asInt(), I);
+  }
+
+  // Shortest round-trip: each double reads back to the same bits.
+  const double Steady = std::chrono::duration<double>(
+                            std::chrono::steady_clock::now().time_since_epoch())
+                            .count();
+  for (double D : {0.1, 1.0 / 3, 5e-324, 1.7976931348623157e308, -0.0,
+                   Steady}) {
+    const std::string Json =
+        support::jsonObject({support::jsonField("d", D)});
+    auto V = parseJson(Json);
+    ASSERT_TRUE(bool(V)) << Json;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(V->find("d")->asDouble()),
+              std::bit_cast<std::uint64_t>(D))
+        << Json;
+  }
+  EXPECT_EQ(support::jsonValue(std::numeric_limits<double>::infinity()),
+            "null");
+}
+
+TEST(ServeJson, WriterPlacesCommasInNestedContainers) {
+  using support::jsonArray;
+  using support::jsonField;
+  using support::jsonObject;
+  using support::jsonNested;
+  EXPECT_EQ(jsonObject({}), "{}");
+  EXPECT_EQ(jsonArray({}), "[]");
+  EXPECT_EQ(jsonObject({"", jsonField("x", 1), ""}), R"({"x":1})");
+  const std::string Inner = jsonObject(
+      {jsonField("d", true), jsonNested("e", jsonArray({"[]", "{}"}))});
+  const std::string Nested = jsonObject(
+      {jsonNested("a", jsonArray({})), jsonNested("b", jsonObject({})), "",
+       jsonNested("c", jsonArray({support::jsonValue(1), "", Inner})),
+       jsonField("f", "g")});
+  EXPECT_EQ(Nested,
+            R"({"a":[],"b":{},"c":[1,{"d":true,"e":[[],{}]}],"f":"g"})");
+  EXPECT_TRUE(bool(parseJson(Nested)));
+  const std::string Lines = support::jsonObjectLines(
+      {jsonField("a", 1), jsonNested("b", jsonObject({}))});
+  EXPECT_EQ(Lines, "{\n  \"a\":1,\n  \"b\":{}\n}");
+  EXPECT_TRUE(bool(parseJson(Lines)));
 }
 
 TEST(ServeJson, EveryReportWriterEscapesControlBytes) {

@@ -36,6 +36,8 @@
 using namespace lcdfg;
 using namespace lcdfg::serve;
 using namespace serve_test;
+using support::JsonValue;
+using support::parseJson;
 
 namespace {
 

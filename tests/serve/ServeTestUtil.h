@@ -72,7 +72,7 @@ struct RequestBuilder {
   std::string Id;
 
   std::string line() const {
-    using lcdfg::serve::jsonField;
+    using lcdfg::support::jsonField;
     std::string L = "{" + jsonField("chain", std::string_view(Chain));
     if (!Id.empty())
       L += "," + jsonField("id", std::string_view(Id));

@@ -32,7 +32,7 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "serve/Json.h"
+#include "support/Json.h"
 #include "support/StringUtils.h"
 
 #include <cstdio>
@@ -58,7 +58,7 @@ bool readReport(const char *Path, Report &Out) {
   }
   std::ostringstream SS;
   SS << In.rdbuf();
-  auto Parsed = lcdfg::serve::parseJson(SS.str());
+  auto Parsed = lcdfg::support::parseJson(SS.str());
   bool Ok = Parsed && Parsed->isObject();
   for (std::size_t V = 0; Ok && V < Parsed->Members.size(); ++V) {
     const auto &[Variant, Keys] = Parsed->Members[V];

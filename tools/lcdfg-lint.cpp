@@ -39,6 +39,7 @@
 #include "parser/ScriptRunner.h"
 #include "storage/ReuseDistance.h"
 #include "storage/StorageMap.h"
+#include "support/Json.h"
 #include "support/Status.h"
 #include "support/StringUtils.h"
 #include "tiling/Tiling.h"
@@ -70,13 +71,20 @@ struct LintReport {
   /// A configuration whose lowering itself failed: the recipe could not be
   /// compiled to a plan at all. Reported in the common Status vocabulary
   /// (E00x code + context chain) rather than aborting the sweep.
+  /// One --json line: {"config":<Name>,<Key>:<Json>}.
+  static void printJson(const std::string &Name, const char *Key,
+                        const std::string &Json) {
+    std::string Line = support::jsonObject(
+        {support::jsonField("config", Name), support::jsonNested(Key, Json)});
+    std::printf("%s\n", Line.c_str());
+  }
+
   void fail(const std::string &Name, const support::Status &S) {
     ++Runs;
     ++RunsWithErrors;
     ++CompileFailures;
     if (Json) {
-      std::printf("{\"config\":\"%s\",\"error\":%s}\n", Name.c_str(),
-                  S.toJson().c_str());
+      printJson(Name, "error", S.toJson());
       return;
     }
     std::printf("FAIL  %s\n      %s\n", Name.c_str(), S.toString().c_str());
@@ -90,8 +98,7 @@ struct LintReport {
     Warnings += Diags.count(verify::Severity::Warning);
     Notes += Diags.count(verify::Severity::Note);
     if (Json) {
-      std::printf("{\"config\":\"%s\",\"report\":%s}\n", Name.c_str(),
-                  Diags.toJson().c_str());
+      printJson(Name, "report", Diags.toJson());
       return;
     }
     if (Diags.all().empty()) {
@@ -494,7 +501,9 @@ int main(int argc, char **argv) {
   try {
     return runLint(argc, argv);
   } catch (const support::StatusError &E) {
-    std::fprintf(stderr, "{\"error\":%s}\n", E.status().toJson().c_str());
+    std::string Line = support::jsonObject(
+        {support::jsonNested("error", E.status().toJson())});
+    std::fprintf(stderr, "%s\n", Line.c_str());
     return 1;
   }
 }

@@ -30,6 +30,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "serve/Server.h"
+#include "support/Json.h"
 #include "support/StringUtils.h"
 
 #include <algorithm>
@@ -47,7 +48,8 @@
 #include <vector>
 
 using namespace lcdfg;
-using serve::jsonField;
+using support::jsonField;
+using support::jsonObject;
 
 namespace {
 
@@ -120,20 +122,12 @@ std::string requestLine(const LoadOptions &Opts, const std::string &Chain,
     Size = Opts.Size + 8 * Steps[I % 4];
     WithScript = WithScript && (I % 2 == 0);
   }
-  std::string Line = "{" + jsonField("id", I) + "," +
-                     jsonField("chain", std::string_view(Chain)) + "," +
-                     jsonField("size", static_cast<std::int64_t>(Size)) +
-                     "," +
-                     jsonField("threads",
-                               static_cast<std::int64_t>(Opts.Threads));
-  if (WithScript)
-    Line += "," + jsonField("script", std::string_view(Script));
-  if (!Cache)
-    Line += "," + jsonField("cache", false);
-  if (Opts.Checksum)
-    Line += "," + jsonField("checksum", true);
-  Line += "}";
-  return Line;
+  return jsonObject({jsonField("id", I), jsonField("chain", Chain),
+                     jsonField("size", Size),
+                     jsonField("threads", Opts.Threads),
+                     WithScript ? jsonField("script", Script) : "",
+                     Cache ? "" : jsonField("cache", false),
+                     Opts.Checksum ? jsonField("checksum", true) : ""});
 }
 
 double percentile(std::vector<double> &Sorted, double P) {
@@ -146,6 +140,13 @@ double percentile(std::vector<double> &Sorted, double P) {
   return Sorted[Lo] + (Sorted[Hi] - Sorted[Lo]) * Frac;
 }
 
+/// A client-side failure, printed in the shape of a server error response.
+void printTransportError(const support::Status &S) {
+  std::string Line = jsonObject(
+      {jsonField("ok", false), support::jsonNested("status", S.toJson())});
+  std::printf("%s\n", Line.c_str());
+}
+
 int runRaw(const LoadOptions &Opts) {
   support::Expected<serve::Client> C = connect(Opts);
   if (!C) {
@@ -153,7 +154,7 @@ int runRaw(const LoadOptions &Opts) {
     return 1;
   }
   if (support::Status S = C->sendLine(Opts.Raw); !S) {
-    std::printf("{\"ok\":false,\"status\":%s}\n", S.toJson().c_str());
+    printTransportError(S);
     return 0;
   }
   support::Expected<std::string> Resp = C->recvLine(Opts.TimeoutMs);
@@ -161,8 +162,7 @@ int runRaw(const LoadOptions &Opts) {
     // The transport-level verdict (E018 drop, E019 stall, E020 garbage)
     // printed in the same shape as a server response, so the fault matrix
     // greps one stream for either side's E-code.
-    std::printf("{\"ok\":false,\"status\":%s}\n",
-                Resp.error().toJson().c_str());
+    printTransportError(Resp.error());
     return 0;
   }
   std::printf("%s\n", Resp->c_str());
@@ -250,7 +250,7 @@ int main(int Argc, char **Argv) {
           break;
         std::string Line = requestLine(Opts, *Chain, Script, I);
         Clock::time_point R0 = Clock::now();
-        support::Expected<serve::JsonValue> Resp =
+        support::Expected<support::JsonValue> Resp =
             Conn->request(Line, Opts.TimeoutMs);
         double Sec =
             std::chrono::duration<double>(Clock::now() - R0).count();
@@ -262,7 +262,7 @@ int main(int Argc, char **Argv) {
             break;
           continue;
         }
-        const serve::JsonValue *Ok = Resp->find("ok");
+        const support::JsonValue *Ok = Resp->find("ok");
         if (!Ok || !Ok->asBool()) {
           Errors.fetch_add(1);
           continue;
@@ -289,9 +289,9 @@ int main(int Argc, char **Argv) {
   // Final cache counters from the server itself.
   std::int64_t Hits = 0, Misses = 0;
   if (support::Expected<serve::Client> C = connect(Opts)) {
-    if (support::Expected<serve::JsonValue> R =
-            C->request("{\"cmd\":\"stats\"}", Opts.TimeoutMs)) {
-      if (const serve::JsonValue *St = R->find("stats")) {
+    if (support::Expected<support::JsonValue> R = C->request(
+            jsonObject({jsonField("cmd", "stats")}), Opts.TimeoutMs)) {
+      if (const support::JsonValue *St = R->find("stats")) {
         Hits = St->find("hits") ? St->find("hits")->asInt() : 0;
         Misses = St->find("misses") ? St->find("misses")->asInt() : 0;
       }
@@ -302,21 +302,18 @@ int main(int Argc, char **Argv) {
           ? static_cast<double>(Hits) / static_cast<double>(Hits + Misses)
           : 0.0;
 
-  std::string Out =
-      "{" + jsonField("clients", static_cast<std::int64_t>(Opts.Clients)) +
-      "," + jsonField("requests", static_cast<std::int64_t>(Opts.Requests)) +
-      "," + jsonField("completed", static_cast<std::int64_t>(Completed.load())) +
-      "," + jsonField("errors", static_cast<std::int64_t>(Errors.load())) +
-      "," + jsonField("mix", std::string_view(Opts.Mix)) + "," +
-      jsonField("elapsed", Elapsed) + "," +
-      jsonField("rps", Elapsed > 0.0
-                           ? static_cast<double>(Completed.load()) / Elapsed
-                           : 0.0) +
-      "," + jsonField("p50", percentile(All, 0.50)) + "," +
-      jsonField("p99", percentile(All, 0.99)) + "," +
-      jsonField("mean", Mean) + "," + jsonField("hits", Hits) + "," +
-      jsonField("misses", Misses) + "," + jsonField("hit_rate", HitRate) +
-      "}";
+  std::string Out = jsonObject(
+      {jsonField("clients", Opts.Clients), jsonField("requests", Opts.Requests),
+       jsonField("completed", Completed.load()),
+       jsonField("errors", Errors.load()), jsonField("mix", Opts.Mix),
+       jsonField("elapsed", Elapsed),
+       jsonField("rps", Elapsed > 0.0
+                            ? static_cast<double>(Completed.load()) / Elapsed
+                            : 0.0),
+       jsonField("p50", percentile(All, 0.50)),
+       jsonField("p99", percentile(All, 0.99)), jsonField("mean", Mean),
+       jsonField("hits", Hits), jsonField("misses", Misses),
+       jsonField("hit_rate", HitRate)});
   std::printf("%s\n", Out.c_str());
   return 0;
 }

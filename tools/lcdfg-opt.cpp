@@ -78,6 +78,7 @@
 #include "shard/ShardRunner.h"
 #include "storage/ReuseDistance.h"
 #include "storage/StorageMap.h"
+#include "support/Json.h"
 #include "support/Status.h"
 #include "support/StringUtils.h"
 #include "verify/KernelVerifier.h"
@@ -236,10 +237,9 @@ int runShardsMode(const ir::LoopChain &Chain, int Shards, int Threads,
 
   std::string Output;
   if (Json) {
-    std::string J = Report.toJson();
-    J.insert(J.size() - 1, std::string(",\"oracle_bit_identical\":") +
-                               (BitIdentical ? "true" : "false"));
-    Output = J + "\n";
+    Output = Report.toJson(support::jsonField("oracle_bit_identical",
+                                              BitIdentical)) +
+             "\n";
   } else {
     Output = Report.toString() + "  oracle bit-identical: " +
              (BitIdentical ? "yes" : "no") + "\n";

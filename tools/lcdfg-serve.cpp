@@ -27,6 +27,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "serve/Server.h"
+#include "support/Json.h"
 #include "support/StringUtils.h"
 
 #include <atomic>
@@ -112,15 +113,12 @@ int main(int Argc, char **Argv) {
   std::signal(SIGINT, onSignal);
   std::signal(SIGTERM, onSignal);
 
-  std::string Ready = "{" + serve::jsonField("ready", true) + ",";
-  if (!Opts.UnixPath.empty())
-    Ready += serve::jsonField("unix", std::string_view(Opts.UnixPath));
-  else
-    Ready += serve::jsonField("port", static_cast<std::int64_t>(Srv.port()));
-  Ready += "," +
-           serve::jsonField("capacity",
-                            static_cast<std::int64_t>(Opts.CacheCapacity)) +
-           "}";
+  using support::jsonField;
+  std::string Ready = support::jsonObject(
+      {jsonField("ready", true),
+       Opts.UnixPath.empty() ? jsonField("port", Srv.port())
+                             : jsonField("unix", Opts.UnixPath),
+       jsonField("capacity", Opts.CacheCapacity)});
   std::printf("%s\n", Ready.c_str());
   std::fflush(stdout);
 
